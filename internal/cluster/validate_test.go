@@ -127,7 +127,11 @@ func TestSimulatorMatchesRealRuntime(t *testing.T) {
 	// A 2×-heterogeneous 4-worker cluster: speeds 2, 1, 1, 0.5.
 	speeds := []float64{2, 1, 1, 0.5}
 	const tasks = 48
-	const taskMS = 8 // base work per task on a speed-1 worker
+	// Base work per task on a speed-1 worker. Every sleep and dispatch
+	// on a loaded 2-CPU box overshoots by up to a few milliseconds, so
+	// the tasks are long enough (makespans ~1 s and ~0.5 s) that the
+	// overshoot stays a few percent of the 30% bound below.
+	const taskMS = 40
 
 	// Simulator prediction with the matching configuration. RefSeqTime
 	// is the sequential time of the whole workload on a speed-1 CPU.

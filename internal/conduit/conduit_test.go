@@ -278,31 +278,3 @@ func TestRebindAccounting(t *testing.T) {
 		t.Fatalf("rebind samples = %v", dirs)
 	}
 }
-
-// An instrumented conduit publishes the canonical dpn_conduit_* series
-// and the legacy dpn_channel_* names as exposition-time aliases with
-// identical values, so pre-conduit dashboards keep reading.
-func TestMetricAliasesTrackCanonical(t *testing.T) {
-	s := obs.NewScope()
-	c := New("m", 64)
-	c.Instrument(s, nil)
-	if _, err := c.Entry().Write(make([]byte, 48)); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]int64{}
-	for _, smp := range s.Registry().Samples() {
-		key := smp.Name
-		for _, l := range smp.Labels {
-			key += "|" + l.Key + "=" + l.Value
-		}
-		byName[key] = smp.Value
-	}
-	canon := "dpn_conduit_bytes_total|channel=m|op=write"
-	alias := "dpn_channel_bytes_total|channel=m|op=write"
-	if byName[canon] != 48 {
-		t.Fatalf("canonical sample = %d, want 48 (all: %v)", byName[canon], byName)
-	}
-	if byName[alias] != byName[canon] {
-		t.Fatalf("alias %d != canonical %d", byName[alias], byName[canon])
-	}
-}

@@ -60,7 +60,7 @@ type Durable struct {
 func (d Durable) String() string { return "durable(" + d.Inner.String() + ")" }
 
 // Addr delegates to the inner transport when it exposes a broker
-// address (TCP/Chaos do).
+// address (TCP and Mux do).
 func (d Durable) Addr() string {
 	if a, ok := d.Inner.(interface{ Addr() string }); ok {
 		return a.Addr()
@@ -424,6 +424,15 @@ func (s *journalSink) Write(p []byte) (int, error) {
 		return 0, s.replayErr
 	}
 	return s.dst.Write(p)
+}
+
+// Grow forwards the buffer's capacity tap, so a link draining a Move
+// can admit its in-flight bytes through a durable binding too.
+func (s *journalSink) Grow(newCap int) int {
+	if g, ok := s.dst.(interface{ Grow(int) int }); ok {
+		return g.Grow(newCap)
+	}
+	return 0
 }
 
 func (s *journalSink) MarkTrace(id uint64) {

@@ -109,8 +109,9 @@ func TestDurableSenderRestartByteIdentical(t *testing.T) {
 	// partition can sever it deterministically.
 	sndB1 := durBroker(t, hastyRes())
 	inj := faults.New(faults.Config{Seed: 7})
+	sndB1.SetFaults(inj)
 	d1 := Durable{
-		Inner: NewChaos(sndB1, inj),
+		Inner: TCP{Broker: sndB1},
 		Dir:   dir,
 		Opt:   wal.Options{SegmentBytes: 16 << 10},
 		Obs:   scope,
@@ -235,7 +236,8 @@ func TestDurableReceiverRestartReplaysJournal(t *testing.T) {
 	// Receiver incarnation 1: hasty, chaos-severable, durable.
 	recvB1 := durBroker(t, hastyRes())
 	inj := faults.New(faults.Config{Seed: 9})
-	d1 := Durable{Inner: NewChaos(recvB1, inj), Dir: dir, Opt: wal.Options{SegmentBytes: 16 << 10}}
+	recvB1.SetFaults(inj)
+	d1 := Durable{Inner: TCP{Broker: recvB1}, Dir: dir, Opt: wal.Options{SegmentBytes: 16 << 10}}
 	dst1 := stream.NewPipe(64 << 10)
 	l1, err := d1.BindInbound(Endpoint{Addr: sndB.Addr(), Token: "dur-recv"}, dst1.WriteEnd())
 	if err != nil {

@@ -44,6 +44,9 @@ var (
 	// ErrLinkDeadline reports an outage that outlasted the link's
 	// resilience window; the link degraded into a cascading close.
 	ErrLinkDeadline = netio.ErrLinkDeadline
+	// ErrMoveDeadline reports a reader-side Move whose writer host
+	// never fenced; the link degraded into a cascading close.
+	ErrMoveDeadline = netio.ErrMoveDeadline
 	// ErrTokenInUse reports a rendezvous token registered twice on one
 	// broker.
 	ErrTokenInUse = netio.ErrTokenInUse
@@ -98,6 +101,7 @@ func IsBenignClose(err error) bool {
 // from "graph degraded".
 func IsDegrade(err error) bool {
 	return err != nil && (errors.Is(err, ErrLinkDeadline) ||
+		errors.Is(err, ErrMoveDeadline) ||
 		errors.Is(err, ErrBrokerClosed) ||
 		errors.Is(err, ErrRendezvousTimeout) ||
 		errors.Is(err, ErrBadFrame) ||

@@ -5,25 +5,9 @@ import (
 	"dpn/internal/stream"
 )
 
-// conduitAliases maps every pre-PR5 per-channel metric name to its
-// canonical dpn_conduit_* family. The old names stay visible in the
-// exposition as snapshot-time aliases (obs.Registry.Alias), so
-// dashboards and the viz tooling keep working while new consumers read
-// the conduit names.
-var conduitAliases = [][2]string{
-	{"dpn_channel_bytes_total", "dpn_conduit_bytes_total"},
-	{"dpn_channel_occupancy_bytes", "dpn_conduit_occupancy_bytes"},
-	{"dpn_channel_occupancy_peak_bytes", "dpn_conduit_occupancy_peak_bytes"},
-	{"dpn_channel_capacity_bytes", "dpn_conduit_capacity_bytes"},
-	{"dpn_channel_grows_total", "dpn_conduit_grows_total"},
-	{"dpn_channel_blocks_total", "dpn_conduit_blocks_total"},
-	{"dpn_channel_block_seconds", "dpn_conduit_block_seconds"},
-	{"dpn_channel_tokens_total", "dpn_conduit_tokens_total"},
-}
-
-// registerFamilies installs the conduit metric help texts and the
-// back-compat aliases in reg. Idempotent; called from every instrument
-// constructor so the families exist before the first sample.
+// registerFamilies installs the conduit metric help texts in reg.
+// Idempotent; called from every instrument constructor so the families
+// exist before the first sample.
 func registerFamilies(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -38,10 +22,6 @@ func registerFamilies(reg *obs.Registry) {
 	reg.Help("dpn_conduit_tokens_total", "Typed elements moved through the conduit, by op (read|write).")
 	reg.Help("dpn_conduit_rebinds_total", "Transport rebinds performed on the conduit, by dir (source|sink).")
 	reg.Help("dpn_conduit_wait_ns_total", "Total nanoseconds blocked on the conduit, by op (read = consumer starved, write = producer throttled by a full buffer).")
-	for _, m := range conduitAliases {
-		reg.Alias(m[0], m[1])
-		reg.AliasHelp(m[0], "Deprecated alias of "+m[1]+".")
-	}
 }
 
 // NewInstruments builds the per-conduit buffer instruments in the

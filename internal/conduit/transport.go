@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 
-	"dpn/internal/faults"
 	"dpn/internal/netio"
 )
 
@@ -58,10 +57,11 @@ type Rearmer interface {
 }
 
 // Transport binds one end of a conduit to a peer. Implementations:
-// TCP (netio broker links), Chaos (TCP under fault injection), and
-// Loopback (in-process pump for tests). The in-proc zero-copy plane
-// needs no Transport at all — an unbound conduit's entry and exit
-// operate directly on the bounded buffer.
+// TCP (netio broker links; fault injection, resilience and compression
+// are options set on its broker), Mux (TCP with session multiplexing
+// enabled), and Loopback (in-process pump for tests). The in-proc
+// zero-copy plane needs no Transport at all — an unbound conduit's
+// entry and exit operate directly on the bounded buffer.
 type Transport interface {
 	fmt.Stringer
 	// BindOutbound pumps src (the local byte source: a conduit exit or
@@ -143,7 +143,7 @@ func (l tcpLink) OnRearm(fn func(Link)) {
 // of a dedicated socket per channel. The link protocol — and with it
 // resilience, RESUME resync, block compression, and durable WAL
 // journaling — rides each stream unchanged, so Mux composes with
-// Durable and Chaos exactly as TCP does.
+// Durable and with fault injection exactly as TCP does.
 type Mux struct {
 	TCP
 }
@@ -159,24 +159,6 @@ func NewMux(b *netio.Broker, psk []byte) Mux {
 }
 
 func (m Mux) String() string { return "mux" }
-
-// Chaos is the TCP transport with a fault injector installed on the
-// broker: every future connection, inbound and outbound, runs under
-// injected dial errors, resets, partitions, and delays. It exists so
-// chaos suites bind conduits through exactly the code path production
-// uses, with the failure surface switched on.
-type Chaos struct {
-	TCP
-	Faults *faults.Injector
-}
-
-// NewChaos installs inj on b and returns the transport.
-func NewChaos(b *netio.Broker, inj *faults.Injector) Chaos {
-	b.SetFaults(inj)
-	return Chaos{TCP: TCP{Broker: b}, Faults: inj}
-}
-
-func (c Chaos) String() string { return "chaos" }
 
 // Loopback is an in-process transport for tests: the outbound and
 // inbound halves of a token rendezvous inside one process and a pump

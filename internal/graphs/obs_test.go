@@ -89,9 +89,9 @@ func TestSieveMetricsExposition(t *testing.T) {
 	}
 	text := b.String()
 	for _, want := range []string{
-		"dpn_channel_tokens_total{channel=",
-		"dpn_channel_occupancy_peak_bytes{channel=",
-		"dpn_channel_bytes_total{channel=",
+		"dpn_conduit_tokens_total{channel=",
+		"dpn_conduit_occupancy_peak_bytes{channel=",
+		"dpn_conduit_bytes_total{channel=",
 		"dpn_net_procs_spawned_total",
 		"dpn_net_reconfig_total{kind=\"insert-upstream\"}",
 	} {

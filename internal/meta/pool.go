@@ -193,15 +193,22 @@ func (p *Pool) LiveLanes() int64 {
 	return p.live
 }
 
-// enqueueOp hands a closure to the manager goroutine.
-func (p *Pool) enqueueOp(f func()) {
+// enqueueOp hands a closure to the manager goroutine. It reports false,
+// dropping f, once the manager has ended; every op accepted before that
+// still runs (see Run).
+func (p *Pool) enqueueOp(f func()) bool {
 	p.mu.Lock()
+	if p.ended {
+		p.mu.Unlock()
+		return false
+	}
 	p.ops = append(p.ops, f)
 	p.mu.Unlock()
 	select {
 	case p.wake <- struct{}{}:
 	default:
 	}
+	return true
 }
 
 // AddWorker joins a new lane running the generic Worker and returns
@@ -247,7 +254,9 @@ func (p *Pool) AddLane(tag string, start func(in *core.ReadPort, out *core.Write
 	}
 	// Register with the manager before any lane goroutine can produce an
 	// arrival, so every arrival finds its lane.
-	p.enqueueOp(func() { p.joinLane(ln) })
+	if !p.enqueueOp(func() { p.joinLane(ln) }) {
+		return -1
+	}
 	// Feeder: the single writer of the lane's task channel. Credit
 	// accounting bounds the feed backlog to MaxInFlight, so manager
 	// sends onto feed never block.
@@ -656,6 +665,9 @@ func (p *Pool) Run(env *core.Env) error {
 		p.ended = true
 		p.mu.Unlock()
 		close(p.quit)
+		// A lane that joined while the run was ending must have its feed
+		// closed too, or its feeder and worker never finish.
+		p.drainOps()
 		for _, ln := range p.state.lanes {
 			p.closeFeed(ln)
 		}

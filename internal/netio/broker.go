@@ -217,8 +217,8 @@ func (b *Broker) BytesOut() int64 { return b.ins.Load().bytesOut.Value() }
 // (dpn_conduit_link_retries_total).
 func (b *Broker) LinkRetries() int64 { return b.ins.Load().linkRetries.Value() }
 
-// HeartbeatMisses reports bounded reads that timed out waiting for the
-// peer (dpn_conduit_link_heartbeat_miss_total).
+// HeartbeatMisses reports bounded link reads and writes that timed out
+// waiting for the peer (dpn_conduit_link_heartbeat_miss_total).
 func (b *Broker) HeartbeatMisses() int64 { return b.ins.Load().heartbeatMiss.Value() }
 
 // PartitionHeals reports successful link reconnects after an outage

@@ -77,7 +77,7 @@ func newBrokerInstruments(s *obs.Scope) *brokerInstruments {
 	reg.Help("dpn_conduit_link_compressed_ratio", "Logical-to-wire payload ratio over this broker's links, in permille (1000 = uncompressed).")
 	reg.Help("dpn_conduit_link_frames_coalesced_total", "Queued outbound data chunks merged into an earlier frame instead of sent separately.")
 	reg.Help("dpn_conduit_link_retries_total", "Link reconnect attempts that failed and backed off.")
-	reg.Help("dpn_conduit_link_heartbeat_miss_total", "Bounded link reads that timed out waiting for the peer.")
+	reg.Help("dpn_conduit_link_heartbeat_miss_total", "Bounded link reads and writes that timed out waiting for the peer.")
 	reg.Help("dpn_conduit_link_partition_heal_total", "Successful link reconnects after an outage.")
 	reg.Help("dpn_conduit_link_failures_total", "Links that exhausted their outage deadline and degraded.")
 	reg.Help("dpn_mux_sessions_total", "Authenticated mux sessions established, by role (dial|accept).")
@@ -86,19 +86,6 @@ func newBrokerInstruments(s *obs.Scope) *brokerInstruments {
 	reg.Help("dpn_mux_streams_per_session", "Live virtual streams per live mux session (the multiplexing factor).")
 	reg.Help("dpn_mux_credit_stalls_total", "Times a mux stream write waited for per-stream credit.")
 	reg.Help("dpn_mux_auth_failures_total", "Mux session handshakes rejected by peer authentication.")
-	// The link plane is the transport half of the conduit layer, so its
-	// canonical metric names live under dpn_conduit_link_*; the pre-PR5
-	// dpn_link_* names stay visible as exposition-time aliases.
-	for _, m := range [][2]string{
-		{"dpn_link_frames_coalesced_total", "dpn_conduit_link_frames_coalesced_total"},
-		{"dpn_link_retries_total", "dpn_conduit_link_retries_total"},
-		{"dpn_link_heartbeat_miss_total", "dpn_conduit_link_heartbeat_miss_total"},
-		{"dpn_link_partition_heal_total", "dpn_conduit_link_partition_heal_total"},
-		{"dpn_link_failures_total", "dpn_conduit_link_failures_total"},
-	} {
-		reg.Alias(m[0], m[1])
-		reg.AliasHelp(m[0], "Deprecated alias of "+m[1]+".")
-	}
 	ins := &brokerInstruments{
 		bytesIn:         reg.Counter("dpn_broker_bytes_total", obs.L("dir", "in")),
 		bytesOut:        reg.Counter("dpn_broker_bytes_total", obs.L("dir", "out")),

@@ -86,10 +86,19 @@ var ErrWrongDirection = errors.New("netio: operation requires the other link dir
 // set in internal/conduit/errs.go.
 var ErrNotConnected = errors.New("netio: link not connected")
 
-// errLinkFailed terminates a legacy (non-resilient) session that died
-// without a more specific cause; defined once so the terminal error of
-// that path is errors.Is-comparable instead of freshly minted.
-var errLinkFailed = errors.New("netio: link failed")
+// ErrMoveDeadline is returned by Move when the writer host did not
+// fence within the move deadline; the link degraded into a cascading
+// close instead of hanging the migration. Part of the consolidated
+// sentinel set in internal/conduit/errs.go.
+var ErrMoveDeadline = errors.New("netio: move deadline exceeded")
+
+// moveTimeout bounds Move, from MOVING sent to FENCE received.
+var moveTimeout = 30 * time.Second
+
+// errSendFailed marks a session that died on a failed write, as
+// opposed to a peer that hung up (a failed read). A fail-fast link
+// reports the former and ends cleanly on the latter (§3.4).
+var errSendFailed = errors.New("netio: send failed")
 
 // Resilience configures fault tolerance for every link of a broker.
 // With resilience enabled, both link halves heartbeat each other while
@@ -244,11 +253,14 @@ func (h *Handle) finish(err error) {
 	})
 }
 
+// markReady records the peer's broker address and, the first time,
+// releases WaitReady. A link that follows a MOVING to the reader's new
+// host calls it again with that host's address.
 func (h *Handle) markReady(peerAddr string) {
 	h.mu.Lock()
+	h.peerAddr = peerAddr
 	if !h.active {
 		h.active = true
-		h.peerAddr = peerAddr
 		close(h.ready)
 	}
 	h.mu.Unlock()
@@ -264,38 +276,20 @@ func (h *Handle) markReady(peerAddr string) {
 // buffer capacity). With resilience enabled a failed dial is retried
 // with backoff in the background instead of failing the call.
 func (b *Broker) DialOutbound(addr, token string, src io.ReadCloser, window int) (*Handle, error) {
-	h := newHandle(b, true)
-	h.out = b.newOutbound(h, src, window, false, addr, token)
-	conn, err := b.dial(addr, token)
-	if err != nil {
-		if h.out.res == nil {
-			return nil, err
-		}
-		go h.out.redial(addr)
-		return h, nil
-	}
-	h.markReady(addr)
-	go h.out.run(conn)
-	return h, nil
+	return b.openOutbound(src, window, false, addr, token)
 }
 
 // ServeOutbound waits for the reader host to connect (with the given
 // token) and then pumps src to it. Used by the origin host when a
 // reader process moves away (§4.2). See DialOutbound for window.
 func (b *Broker) ServeOutbound(token string, src io.ReadCloser, window int) (*Handle, error) {
+	return b.openOutbound(src, window, true, "", token)
+}
+
+func (b *Broker) openOutbound(src io.ReadCloser, window int, serve bool, addr, token string) (*Handle, error) {
 	h := newHandle(b, true)
-	h.out = b.newOutbound(h, src, window, true, "", token)
-	err := b.expectCancelable(token, func(conn net.Conn, peerAddr string) {
-		h.markReady(peerAddr)
-		go h.out.run(conn)
-	}, func(err error) {
-		// Broker shut down before the peer arrived: poison the local
-		// source and finish, so watchers of this handle terminate
-		// instead of leaking.
-		src.Close()
-		h.finish(err)
-	})
-	if err != nil {
+	h.out = b.newOutbound(h, src, window, serve, addr, token)
+	if err := h.out.start(h, h.out); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -333,14 +327,20 @@ type ackedSource interface{ Acked(off uint64) }
 // so its first RESUME announces the journal's end rather than zero.
 type deliveredSink interface{ Delivered() uint64 }
 
+// growableSink is the Grow tap of stream.Pipe's write end (forwarded
+// by durable sinks): Grow raises the buffer capacity to newCap, ignores
+// a smaller value and returns the resulting capacity. The inbound link
+// uses it to admit the bytes still in flight behind a Move.
+type growableSink interface{ Grow(newCap int) int }
+
 func (b *Broker) newOutbound(h *Handle, src io.ReadCloser, window int, serve bool, addr, token string) *outboundLink {
-	res := b.resilience()
-	w := normWindow(window)
 	tt, _ := src.(traceTaker)
 	ss, _ := src.(shapeSource)
 	rw, _ := src.(rewindableSource)
 	ak, _ := src.(ackedSource)
+	w := normWindow(window)
 	return &outboundLink{
+		lifecycle: newLifecycle(b, serve, addr, token),
 		h:         h,
 		src:       src,
 		traceSrc:  tt,
@@ -350,11 +350,6 @@ func (b *Broker) newOutbound(h *Handle, src io.ReadCloser, window int, serve boo
 		comp:      b.compression(),
 		window:    w,
 		frameMax:  normFrameMax(w),
-		res:       res,
-		rng:       newLinkRNG(res),
-		serveRole: serve,
-		dialAddr:  addr,
-		token:     token,
 	}
 }
 
@@ -385,20 +380,7 @@ func normWindow(w int) int {
 // bytes into dst (the write end of the local pipe behind the moved
 // reader port).
 func (b *Broker) DialInbound(addr, token string, dst io.WriteCloser) (*Handle, error) {
-	h := newHandle(b, false)
-	h.in = b.newInbound(h, dst, false, addr, token)
-	conn, err := b.dial(addr, token)
-	if err != nil {
-		if h.in.res == nil {
-			return nil, err
-		}
-		go h.in.redial(addr)
-		return h, nil
-	}
-	h.markReady(addr)
-	h.in.setConn(conn)
-	go h.in.run(conn)
-	return h, nil
+	return b.openInbound(dst, false, addr, token)
 }
 
 // ServeInbound waits for the writer host to connect and then pumps the
@@ -406,34 +388,25 @@ func (b *Broker) DialInbound(addr, token string, dst io.WriteCloser) (*Handle, e
 // process moves away, and by any host receiving a redirected writer
 // (§4.3).
 func (b *Broker) ServeInbound(token string, dst io.WriteCloser) (*Handle, error) {
+	return b.openInbound(dst, true, "", token)
+}
+
+func (b *Broker) openInbound(dst io.WriteCloser, serve bool, addr, token string) (*Handle, error) {
 	h := newHandle(b, false)
-	h.in = b.newInbound(h, dst, true, "", token)
-	err := b.expectCancelable(token, func(conn net.Conn, peerAddr string) {
-		h.in.setConn(conn)
-		h.markReady(peerAddr)
-		go h.in.run(conn)
-	}, func(err error) {
-		dst.Close()
-		h.finish(err)
-	})
-	if err != nil {
+	h.in = b.newInbound(h, dst, serve, addr, token)
+	if err := h.in.start(h, h.in); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
 func (b *Broker) newInbound(h *Handle, dst io.WriteCloser, serve bool, addr, token string) *inboundLink {
-	res := b.resilience()
 	tm, _ := dst.(traceMarker)
 	i := &inboundLink{
+		lifecycle: newLifecycle(b, serve, addr, token),
 		h:         h,
 		dst:       dst,
 		traceDst:  tm,
-		res:       res,
-		rng:       newLinkRNG(res),
-		serveRole: serve,
-		dialAddr:  addr,
-		token:     token,
 	}
 	if ds, ok := dst.(deliveredSink); ok {
 		// A durable sink survived a restart with journaled bytes: the
@@ -454,11 +427,11 @@ func (h *Handle) Redirect(token string) (peerAddr string, err error) {
 	if !h.outbound {
 		return "", fmt.Errorf("%w: Redirect requires an outbound link", ErrWrongDirection)
 	}
-	if err := h.WaitReady(); err != nil {
-		return "", err
+	peerAddr, err = h.PeerAddr()
+	if err == nil {
+		h.out.setRedirect(token)
 	}
-	h.out.setRedirect(token)
-	return h.peerAddr, nil
+	return peerAddr, err
 }
 
 // Move arranges the reader-side redirection (the dual of Redirect):
@@ -466,7 +439,9 @@ func (h *Handle) Redirect(token string) (peerAddr string, err error) {
 // fence and reconnect directly to the reader's new host. Move returns
 // after the fence has arrived and the link has shut down, at which
 // point every byte the writer sent is either in the local pipe or will
-// be delivered to the new host.
+// be delivered to the new host. The wait is bounded: a writer host that
+// does not fence within the move deadline degrades the link into a
+// cascading close, and Move returns ErrMoveDeadline.
 func (h *Handle) Move(addr, token string) error {
 	if h.outbound {
 		return fmt.Errorf("%w: Move requires an inbound link", ErrWrongDirection)
@@ -476,6 +451,13 @@ func (h *Handle) Move(addr, token string) error {
 	}
 	if err := h.in.sendMoving(addr, token); err != nil {
 		return err
+	}
+	t := time.NewTimer(moveTimeout)
+	defer t.Stop()
+	select {
+	case <-h.done:
+	case <-t.C:
+		h.in.abort(ErrMoveDeadline)
 	}
 	return h.Wait()
 }
@@ -544,6 +526,179 @@ func (b *Broker) reconnect(res *Resilience, rng *rand.Rand, serve bool, addr, to
 	}
 }
 
+// linkHalf is the direction-specific part of a link: what one
+// connection carries, and how the local channel end is poisoned.
+// lifecycle drives it.
+type linkHalf interface {
+	// session drives one connection. It returns moved when the reader
+	// host asked for a new target (the lifecycle connects there next)
+	// and err when the connection died; with neither, the link is over
+	// and the session has already finished the handle. progressed
+	// reports that the session got past its handshake, which ends the
+	// current outage. session makes no reconnect decision of its own.
+	session(conn net.Conn) (progressed, moved bool, err error)
+	// degrade closes the local channel end and finishes the handle
+	// with err: the cascading close (§3.4).
+	degrade(err error)
+}
+
+// lifecycle is the connection state a link half keeps across
+// connections, and run is the one place that decides what a dead
+// connection means: a fail-fast link degrades at once, a resilient link
+// resumes on a fresh connection within its LinkDeadline.
+type lifecycle struct {
+	res       *Resilience // nil: fail fast
+	rng       *rand.Rand
+	serveRole bool
+	dialAddr  string
+	token     string
+
+	// mu guards conn and each half's state shared with other
+	// goroutines (the redirect token, the Move state).
+	mu   sync.Mutex
+	conn net.Conn // current connection
+}
+
+func newLifecycle(b *Broker, serve bool, addr, token string) lifecycle {
+	res := b.resilience()
+	return lifecycle{res: res, rng: newLinkRNG(res), serveRole: serve, dialAddr: addr, token: token}
+}
+
+func (l *lifecycle) setConn(conn net.Conn) {
+	l.mu.Lock()
+	l.conn = conn
+	l.mu.Unlock()
+}
+
+// start opens the link's first connection and hands it to run: the
+// serving role waits for the peer's HELLO, the dialing role dials.
+// Only a fail-fast link reports a failed first dial to the caller; a
+// resilient one starts in an outage and run keeps dialing.
+func (l *lifecycle) start(h *Handle, half linkHalf) error {
+	if l.serveRole {
+		// A broker shutting down before the peer arrives degrades the
+		// link, so watchers of this handle terminate instead of leaking.
+		return h.b.expectCancelable(l.token, func(conn net.Conn, peerAddr string) {
+			l.setConn(conn)
+			h.markReady(peerAddr)
+			go l.run(h, half, conn)
+		}, half.degrade)
+	}
+	conn, err := h.b.dial(l.dialAddr, l.token)
+	if err == nil {
+		l.setConn(conn)
+		h.markReady(l.dialAddr)
+	} else if l.res == nil {
+		return err
+	} else {
+		h.b.noteLink("retry")
+	}
+	go l.run(h, half, conn)
+	return nil
+}
+
+// run drives half's sessions until the link ends. conn is nil when the
+// first dial failed. A session that dies on a fail-fast link degrades
+// it: a failed send is reported, a peer that hung up ends the link
+// cleanly. On a resilient link it opens an outage, and reconnect
+// retries until LinkDeadline (counted from the first failure, so a
+// peer that accepts HELLOs but never resyncs still degrades). A MOVING
+// redirect connects to the reader's new host on a fresh clock.
+func (l *lifecycle) run(h *Handle, half linkHalf, conn net.Conn) {
+	var outage time.Time // start of the current outage; zero while healthy
+	if conn == nil {
+		outage = time.Now()
+	}
+	healing := false // the next connection replaces one that died
+	for {
+		if conn == nil {
+			var err error
+			if l.res == nil {
+				conn, err = h.b.dial(l.dialAddr, l.token)
+			} else {
+				conn, err = h.b.reconnect(l.res, l.rng, l.serveRole, l.dialAddr, l.token, outage)
+			}
+			if err != nil {
+				h.b.noteLink("fail")
+				half.degrade(err)
+				return
+			}
+			if healing {
+				h.b.noteLink("heal")
+			} else {
+				outage = time.Time{}
+			}
+			l.setConn(conn)
+			if !l.serveRole {
+				h.markReady(l.dialAddr)
+			}
+		}
+		progressed, moved, err := half.session(conn)
+		if progressed {
+			outage = time.Time{}
+		}
+		switch {
+		case moved:
+			conn, outage, healing = nil, time.Now(), false
+		case err == nil:
+			return
+		case l.res == nil:
+			conn.Close()
+			if !errors.Is(err, errSendFailed) {
+				err = nil
+			}
+			half.degrade(err)
+			return
+		default:
+			conn.Close()
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				h.b.noteLink("miss") // a read or write outlived MissDeadline
+			}
+			if outage.IsZero() {
+				outage = time.Now()
+			}
+			conn, healing = nil, true
+		}
+	}
+}
+
+// writeBounded is the link's one socket write, bounded by MissDeadline
+// when the link is resilient (a write that cannot drain is a dead or
+// partitioned peer; the replay buffer makes a false positive merely
+// wasteful, not wrong). A failure is marked errSendFailed.
+func writeBounded(conn net.Conn, res *Resilience, b []byte) error {
+	if res != nil {
+		conn.SetWriteDeadline(time.Now().Add(res.MissDeadline))
+		defer conn.SetWriteDeadline(time.Time{})
+	}
+	if _, err := conn.Write(b); err != nil {
+		return fmt.Errorf("%w: %w", errSendFailed, err)
+	}
+	return nil
+}
+
+// boundRead bounds conn's next read by MissDeadline when the link is
+// resilient: the peer heartbeats, so a silent connection is dead.
+func boundRead(conn net.Conn, res *Resilience) {
+	if res != nil {
+		conn.SetReadDeadline(time.Now().Add(res.MissDeadline))
+	}
+}
+
+// writeLink writes one control frame (every kind but DATA) through
+// writeBounded, staging its header in scratch, and counts it.
+func (b *Broker) writeLink(conn net.Conn, res *Resilience, scratch []byte, f frame) error {
+	hdr, err := encodeFrame(scratch[:0], f)
+	if err == nil {
+		err = writeBounded(conn, res, hdr)
+	}
+	if err == nil {
+		b.noteFrame(f.kind, true, 0)
+	}
+	return err
+}
+
 // sentChunk is one unacknowledged DATA payload retained for replay,
 // keyed by its logical stream offset. It keeps the chunk's pooled
 // backing buffer alive until the receiver confirms delivery.
@@ -559,6 +714,7 @@ type sentChunk struct {
 // chunks and replays them after a reconnect, trimming to the offset
 // the receiver announces in its RESUME frame.
 type outboundLink struct {
+	lifecycle
 	h   *Handle
 	src io.ReadCloser
 	// traceSrc is src's trace-mark tap, nil when src is not trace-aware.
@@ -574,8 +730,7 @@ type outboundLink struct {
 	comp bool
 	enc  blocks.Encoder
 
-	mu            sync.Mutex
-	redirectToken string
+	redirectToken string // guarded by mu
 
 	window   int
 	frameMax int // per-frame payload cap; see normFrameMax
@@ -585,22 +740,15 @@ type outboundLink struct {
 	srcErr     error
 	readerOnce sync.Once
 
-	// session-owned scratch: frame header staging for control writes.
-	hdr [16]byte
-
-	// resilient state; untouched when res == nil. All fields below are
-	// owned by the run goroutine.
-	res       *Resilience
-	rng       *rand.Rand
-	serveRole bool
-	dialAddr  string
-	token     string
-	sendOff   uint64 // logical stream offset after the last sent chunk
-	ackOff    uint64 // offset the receiver has confirmed delivered
+	// Owned by the run goroutine.
+	hdr       [16]byte // control-frame header scratch
+	sendOff   uint64   // logical stream offset after the last sent chunk (resilient)
+	ackOff    uint64   // offset the receiver has confirmed delivered (resilient)
 	unacked   []sentChunk
 	pending   outChunk // chunk taken from the source but not yet sent
 	next      outChunk // drained chunk that did not fit the coalesce cap
 	finishing bool     // source exhausted; terminal frame in progress
+	finalSent bool     // terminal frame written to the current reader host
 }
 
 func (o *outboundLink) setRedirect(token string) {
@@ -616,6 +764,18 @@ func (o *outboundLink) finalFrame() frame {
 		return frame{kind: frameRedirect, token: o.redirectToken}
 	}
 	return frame{kind: frameEOF}
+}
+
+// degrade poisons the local writer and finishes the link. A link whose
+// every byte was confirmed, with only the terminal frame's confirmation
+// outstanding, shuts down clean: the receiver degrades independently.
+// Unacked bytes mean possible data loss and surface as the failure.
+func (o *outboundLink) degrade(err error) {
+	o.src.Close()
+	if o.finalSent && len(o.unacked) == 0 {
+		err = nil
+	}
+	o.h.finish(err)
 }
 
 // startReader launches the goroutine that reads the source into the
@@ -651,17 +811,6 @@ func (o *outboundLink) startReader() {
 	})
 }
 
-// writeLink writes one frame, bounded by MissDeadline when resilient
-// (a write that cannot drain is a dead or partitioned peer; the
-// replay buffer makes a false positive merely wasteful, not wrong).
-func (o *outboundLink) writeLink(conn net.Conn, f frame) error {
-	if o.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(o.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	return writeFrameBuf(conn, f, o.hdr[:])
-}
-
 // writeData writes one DATA frame as a single conn.Write: the header
 // lands in the chunk buffer's reserved headroom directly before the
 // payload, so there is no second syscall and no torn frame boundary
@@ -678,21 +827,10 @@ func (o *outboundLink) writeData(conn net.Conn, c outChunk) error {
 			return err
 		}
 	}
-	if c.orig == nil || c.start < frameHdrLen {
-		err := o.writeLink(conn, frame{kind: frameData, payload: c.data})
-		if err == nil {
-			o.h.b.noteData(frameData, true, n, n)
-		}
-		return err
-	}
-	if o.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(o.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
 	full := (*c.orig)[c.start-frameHdrLen : c.start+n]
 	full[0] = frameData
 	binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(n))
-	_, err := conn.Write(full)
+	err := writeBounded(conn, o.res, full)
 	if err == nil {
 		o.h.b.noteData(frameData, true, n, n)
 	}
@@ -728,11 +866,7 @@ func (o *outboundLink) writeCompressed(conn net.Conn, c outChunk) (done bool, er
 	full := (*bp)[:frameHdrLen+len(block)]
 	full[0] = frameDataC
 	binary.BigEndian.PutUint32(full[1:frameHdrLen], uint32(len(block)))
-	if o.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(o.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	if _, err := conn.Write(full); err != nil {
+	if err := writeBounded(conn, o.res, full); err != nil {
 		return true, err
 	}
 	o.h.b.noteData(frameDataC, true, len(block), n)
@@ -790,36 +924,10 @@ func (o *outboundLink) coalesce() {
 	}
 }
 
-// redial runs the initial-dial retry loop for DialOutbound when the
-// first attempt fails under resilience.
-func (o *outboundLink) redial(addr string) {
-	o.h.b.noteLink("retry")
-	conn, err := o.h.b.reconnect(o.res, o.rng, false, addr, o.token, time.Now())
-	if err != nil {
-		o.h.b.noteLink("fail")
-		o.src.Close()
-		o.h.finish(err)
-		return
-	}
-	o.h.markReady(addr)
-	o.run(conn)
-}
-
 type ctrlEvent struct {
 	f   frame
 	err error
 }
-
-// ctrlOutcome describes how a control event changes the sender's
-// state.
-type ctrlOutcome int
-
-const (
-	ctrlContinue ctrlOutcome = iota // credit absorbed; keep going
-	ctrlStop                        // link is over (peer gone or reader closed)
-	ctrlMoved                       // reconnected to a new host; restart the session
-	ctrlFailed                      // connection dead; resilient reconnect wanted
-)
 
 // trimUnacked drops (or slices) retained chunks the receiver has
 // confirmed up to off. Fully confirmed chunks return their pooled
@@ -867,153 +975,88 @@ func (o *outboundLink) dropUnacked() {
 	o.unacked = nil
 }
 
-// handleCtrl processes one control event. On ctrlMoved the connection
-// to the reader's new host is returned.
-func (o *outboundLink) handleCtrl(ev ctrlEvent, conn net.Conn) (ctrlOutcome, net.Conn) {
-	if ev.err == nil {
-		o.h.b.noteFrame(ev.f.kind, false, 0)
-	}
-	switch {
-	case ev.err != nil:
-		conn.Close()
-		if o.res != nil {
-			var ne net.Error
-			if errors.As(ev.err, &ne) && ne.Timeout() {
-				o.h.b.noteLink("miss")
-			}
-			return ctrlFailed, nil
+// credit absorbs an ACK: the window reopens, and a resilient link
+// releases the confirmed prefix of its replay buffer.
+func (o *outboundLink) credit(n int) {
+	o.inFlight = max(o.inFlight-n, 0)
+	if o.res != nil {
+		o.ackOff += uint64(n)
+		o.trimUnacked(o.ackOff)
+		if o.ackSrc != nil {
+			o.ackSrc.Acked(o.ackOff)
 		}
-		// Peer vanished: poison the local writer so the process network
-		// observes termination (§3.4 across machines).
-		o.src.Close()
-		o.h.finish(nil)
-		return ctrlStop, nil
-	case ev.f.kind == frameAck:
-		o.inFlight -= ev.f.ack
-		if o.inFlight < 0 {
-			o.inFlight = 0
-		}
-		if o.res != nil {
-			o.ackOff += uint64(ev.f.ack)
-			o.trimUnacked(o.ackOff)
-			if o.ackSrc != nil {
-				o.ackSrc.Acked(o.ackOff)
-			}
-		}
-		return ctrlContinue, nil
-	case ev.f.kind == frameBeat:
-		return ctrlContinue, nil
-	case ev.f.kind == frameCloseRead:
-		// Remote reader closed: cascade the exception upstream.
-		conn.Close()
-		o.src.Close()
-		o.h.finish(nil)
-		return ctrlStop, nil
-	case ev.f.kind == frameMoving:
-		// Reader host is moving: fence this connection and reconnect
-		// directly to the new host. Every pre-fence byte lands in the
-		// old host's leftover buffer and travels inside the migration
-		// parcel, so the stream offsets rebase to zero.
-		writeFrame(conn, frame{kind: frameFence})
-		o.h.b.noteFrame(frameFence, true, 0)
-		halfCloseWrite(conn)
-		conn.Close()
-		o.inFlight = 0
-		o.dropUnacked()
-		o.sendOff, o.ackOff = 0, 0
-		o.serveRole = false
-		o.dialAddr = ev.f.addr
-		o.token = ev.f.token
-		var newConn net.Conn
-		var err error
-		if o.res != nil {
-			newConn, err = o.h.b.reconnect(o.res, o.rng, false, ev.f.addr, ev.f.token, time.Now())
-		} else {
-			newConn, err = o.h.b.dial(ev.f.addr, ev.f.token)
-		}
-		if err != nil {
-			o.src.Close()
-			o.h.finish(fmt.Errorf("netio: reconnect after MOVING: %w", err))
-			return ctrlStop, nil
-		}
-		o.h.mu.Lock()
-		o.h.peerAddr = ev.f.addr
-		o.h.mu.Unlock()
-		return ctrlMoved, newConn
-	default:
-		return ctrlContinue, nil
 	}
 }
 
-type sessResult int
+// hasCredit reports whether the pending chunk fits the window, so the
+// receiving pipe's capacity bounds the channel end to end. A lone
+// chunk always fits.
+func (o *outboundLink) hasCredit() bool {
+	return o.window <= 0 || o.inFlight == 0 || o.inFlight+len(o.pending.data) <= o.window
+}
 
-const (
-	sessDone sessResult = iota
-	sessMoved
-	sessFailed
-)
-
-func (o *outboundLink) run(conn net.Conn) {
-	var outageStart time.Time
-	for {
-		res, next, progressed := o.session(conn)
-		if progressed {
-			outageStart = time.Time{}
-		}
-		switch res {
-		case sessDone:
-			return
-		case sessMoved:
-			conn = next
-			outageStart = time.Time{}
-		case sessFailed:
-			if o.res == nil {
-				// Legacy sessions finish before failing; defensive only.
-				o.src.Close()
-				o.h.finish(errLinkFailed)
-				return
-			}
-			if outageStart.IsZero() {
-				outageStart = time.Now()
-			}
-			next, err := o.h.b.reconnect(o.res, o.rng, o.serveRole, o.dialAddr, o.token, outageStart)
-			if err != nil {
-				o.h.b.noteLink("fail")
-				o.src.Close()
-				if o.finishing && o.srcErr == nil && len(o.unacked) == 0 {
-					// Every byte was confirmed delivered; only the terminal
-					// frame's confirmation is outstanding. The receiver
-					// degrades independently, so this end shuts down clean.
-					// Unacked bytes mean possible data loss and must surface
-					// as a link failure, not a clean close.
-					o.h.finish(nil)
-				} else {
-					o.h.finish(err)
-				}
-				return
-			}
-			o.h.b.noteLink("heal")
-			conn = next
+// send ships the pending chunk. A pending trace mark (set upstream on
+// the pipe, or minted by the broker's auto-sampler) rides ahead of the
+// DATA frame it tags. Trace frames carry no credit or offset and never
+// enter the replay buffer — a mark lost to a reconnect just means that
+// batch goes unsampled.
+func (o *outboundLink) send(conn net.Conn) error {
+	if id := o.takeTrace(); id != 0 {
+		// Record the span before the frame is flushed: on a fast
+		// loopback the receiver can decode and stamp wire-in before
+		// this goroutine resumes, and a wire-out stamped after the
+		// write would then read later than its own wire-in, breaking
+		// the causal edge the merge aligns clocks on.
+		o.h.b.noteSpan(o.token, "wire-out", id)
+		if err := o.h.b.writeLink(conn, o.res, o.hdr[:], frame{kind: frameTrace, off: id}); err != nil {
+			return err
 		}
 	}
+	c := o.pending
+	if err := o.writeData(conn, c); err != nil {
+		return err
+	}
+	o.pending = outChunk{}
+	o.inFlight += len(c.data)
+	if o.res != nil {
+		o.unacked = append(o.unacked, sentChunk{off: o.sendOff, c: c})
+		o.sendOff += uint64(len(c.data))
+	} else {
+		c.release()
+	}
+	return nil
+}
+
+// fence answers MOVING: the reader host is moving, so this connection
+// ends at a FENCE and the link continues on a direct connection to the
+// new host. Every pre-fence byte lands in the old host's pipe and
+// travels inside the migration parcel, so the stream offsets rebase to
+// zero.
+func (o *outboundLink) fence(conn net.Conn, moving frame) {
+	o.h.b.writeLink(conn, o.res, o.hdr[:], frame{kind: frameFence})
+	halfCloseWrite(conn)
+	conn.Close()
+	o.inFlight, o.sendOff, o.ackOff, o.finalSent = 0, 0, 0, false
+	o.dropUnacked()
+	o.serveRole, o.dialAddr, o.token = false, moving.addr, moving.token
 }
 
 // resync performs the sender half of the RESUME handshake: the
 // receiver speaks first, announcing its delivered offset; retained
 // chunks past that offset are replayed and the credit window is
 // recomputed from the confirmed offset.
-func (o *outboundLink) resync(conn net.Conn) bool {
+func (o *outboundLink) resync(conn net.Conn) error {
 	conn.SetReadDeadline(time.Now().Add(o.res.MissDeadline))
 	f, err := readFrame(conn)
 	conn.SetReadDeadline(time.Time{})
-	if err != nil || f.kind != frameResume {
-		return false
+	if err != nil {
+		return err
+	}
+	if f.kind != frameResume {
+		return ErrBadFrame
 	}
 	o.h.b.noteFrame(frameResume, false, 0)
-	off := f.off
-	if off < o.ackOff {
-		off = o.ackOff // delivered cannot regress; defensive
-	}
+	off := max(f.off, o.ackOff) // delivered cannot regress; defensive
 	if off > o.sendOff {
 		// The receiver holds bytes this incarnation never sent: the
 		// sender process was restarted and its journal-backed source is
@@ -1021,13 +1064,16 @@ func (o *outboundLink) resync(conn net.Conn) bool {
 		// to the receiver's delivered offset and adopt it as our own.
 		// This can only happen on an incarnation's first resync — the
 		// reader goroutine has not started (see session), so no chunk is
-		// staged and the replay buffer is empty.
-		if o.rewindSrc == nil || o.rewindSrc.Rewind(off) != nil {
-			// A plain source cannot skip; the streams have genuinely
-			// diverged (e.g. mismatched journal dir). Fail the session —
-			// the link degrades at LinkDeadline rather than corrupting
-			// the stream.
-			return false
+		// staged and the replay buffer is empty. A plain source cannot
+		// skip: the streams have genuinely diverged (e.g. mismatched
+		// journal dir), and the link degrades at LinkDeadline rather
+		// than corrupting the stream.
+		err := error(ErrBadFrame)
+		if o.rewindSrc != nil {
+			err = o.rewindSrc.Rewind(off)
+		}
+		if err != nil {
+			return err
 		}
 		o.dropUnacked()
 		o.sendOff = off
@@ -1039,22 +1085,25 @@ func (o *outboundLink) resync(conn net.Conn) bool {
 	}
 	for _, sc := range o.unacked {
 		if err := o.writeData(conn, sc.c); err != nil {
-			return false
+			return err
 		}
 	}
 	o.inFlight = int(o.sendOff - o.ackOff)
-	return true
+	return nil
 }
 
-// session drives one connection's worth of the outbound stream. It
-// returns sessFailed (resilient mode only) when the connection died
-// and the stream should resume on a fresh one.
-func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
-	progressed := false
+// session drives one connection's worth of the outbound stream in a
+// single select over source chunks, control frames and the heartbeat.
+// The chunk case is gated off (its channel set to nil) while the
+// pending chunk waits for credit and once the source is exhausted. The
+// terminal frame (EOF or REDIRECT) goes out after every staged chunk.
+// A resilient link then waits for the receiver's BYE, re-sending the
+// terminal frame on the next connection if this one dies first — a
+// lost EOF is otherwise indistinguishable from a lost peer.
+func (o *outboundLink) session(conn net.Conn) (progressed, moved bool, err error) {
 	if o.res != nil {
-		if !o.resync(conn) {
-			conn.Close()
-			return sessFailed, nil, false
+		if err := o.resync(conn); err != nil {
+			return false, false, err
 		}
 		progressed = true
 	}
@@ -1075,171 +1124,76 @@ func (o *outboundLink) session(conn net.Conn) (sessResult, net.Conn, bool) {
 		defer t.Stop()
 		beat = t.C
 	}
+	stalled := false // the pending chunk's credit stall is counted
+	final := false   // the terminal frame went out on this connection
 	for {
-		// The terminal frame waits until every staged chunk (pending and
-		// the coalesce overflow slot) has been sent.
-		if o.finishing && o.pending.data == nil && o.next.data == nil {
-			res, next := o.finishStream(conn, ctrl, beat)
-			return res, next, progressed
+		if o.pending.data == nil && o.next.data != nil {
+			o.pending, o.next = o.next, outChunk{}
+			o.coalesce()
 		}
-		if o.pending.data == nil {
-			if o.next.data != nil {
-				o.pending, o.next = o.next, outChunk{}
-				o.coalesce()
-			} else {
-				select {
-				case chunk, ok := <-o.chunks:
-					if !ok {
-						o.finishing = true
-						continue
-					}
-					o.pending = chunk
-					o.coalesce()
-				case ev := <-ctrl:
-					switch out, next := o.handleCtrl(ev, conn); out {
-					case ctrlStop:
-						return sessDone, nil, progressed
-					case ctrlFailed:
-						return sessFailed, nil, progressed
-					case ctrlMoved:
-						return sessMoved, next, progressed
-					}
-					continue
-				case <-beat:
-					if err := o.writeLink(conn, frame{kind: frameBeat}); err != nil {
-						conn.Close()
-						return sessFailed, nil, progressed
-					}
-					o.h.b.noteFrame(frameBeat, true, 0)
-					continue
+		chunks := o.chunks
+		if o.pending.data != nil {
+			if o.hasCredit() {
+				if err := o.send(conn); err != nil {
+					return progressed, false, err
 				}
+				stalled = false
+				continue
 			}
-		}
-		// Flow control: wait for credit before sending, so the
-		// receiving pipe's capacity bounds the channel end to end.
-		if o.window > 0 && o.inFlight > 0 && o.inFlight+len(o.pending.data) > o.window {
-			o.h.b.noteCreditStall()
-		}
-		for o.window > 0 && o.inFlight > 0 && o.inFlight+len(o.pending.data) > o.window {
-			select {
-			case ev := <-ctrl:
-				switch out, next := o.handleCtrl(ev, conn); out {
-				case ctrlStop:
-					return sessDone, nil, progressed
-				case ctrlFailed:
-					return sessFailed, nil, progressed
-				case ctrlMoved:
-					return sessMoved, next, progressed
-				}
-			case <-beat:
-				if err := o.writeLink(conn, frame{kind: frameBeat}); err != nil {
-					conn.Close()
-					return sessFailed, nil, progressed
-				}
-				o.h.b.noteFrame(frameBeat, true, 0)
+			if !stalled {
+				o.h.b.noteCreditStall()
+				stalled = true
 			}
-		}
-		// A pending trace mark (set upstream on the pipe, or minted by
-		// the broker's auto-sampler) rides ahead of the DATA frame it
-		// tags. Trace frames carry no credit or offset and never enter
-		// the replay buffer — a mark lost to a reconnect just means that
-		// batch goes unsampled.
-		if id := o.takeTrace(); id != 0 {
-			// Record the span before the frame is flushed: on a fast
-			// loopback the receiver can decode and stamp wire-in before
-			// this goroutine resumes, and a wire-out stamped after the
-			// write would then read later than its own wire-in, breaking
-			// the causal edge the merge aligns clocks on.
-			o.h.b.noteSpan(o.token, "wire-out", id)
-			if err := o.writeLink(conn, frame{kind: frameTrace, off: id}); err != nil {
+			chunks = nil
+		} else if o.finishing {
+			chunks = nil
+			if !final && o.srcErr == nil {
+				if err := o.h.b.writeLink(conn, o.res, o.hdr[:], o.finalFrame()); err != nil {
+					return progressed, false, err
+				}
+				final, o.finalSent = true, true
+			}
+			if !final || o.res == nil {
+				// Nothing to confirm: let the peer finish reading (so
+				// buffered data is not reset), then end.
+				halfCloseWrite(conn)
+				drainCtrl(ctrl)
 				conn.Close()
-				if o.res != nil {
-					return sessFailed, nil, progressed
-				}
-				o.src.Close()
-				o.h.finish(fmt.Errorf("netio: send failed: %w", err))
-				return sessDone, nil, progressed
-			}
-			o.h.b.noteFrame(frameTrace, true, 0)
-		}
-		chunk := o.pending
-		if err := o.writeData(conn, chunk); err != nil {
-			conn.Close()
-			if o.res != nil {
-				return sessFailed, nil, progressed
-			}
-			o.src.Close()
-			o.h.finish(fmt.Errorf("netio: send failed: %w", err))
-			return sessDone, nil, progressed
-		}
-		o.inFlight += len(chunk.data)
-		if o.res != nil {
-			o.unacked = append(o.unacked, sentChunk{off: o.sendOff, c: chunk})
-			o.sendOff += uint64(len(chunk.data))
-		} else {
-			chunk.release()
-		}
-		o.pending = outChunk{}
-	}
-}
-
-// finishStream sends the terminal frame (EOF or REDIRECT) and shuts
-// the link down. With resilience the sender waits for the receiver's
-// BYE confirmation, reconnecting and re-sending the terminal frame if
-// the connection dies first — a lost EOF is otherwise indistinguishable
-// from a lost peer.
-func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent, beat <-chan time.Time) (sessResult, net.Conn) {
-	if o.res == nil {
-		err := o.srcErr
-		if err == nil {
-			final := o.finalFrame()
-			err = writeFrame(conn, final)
-			if err == nil {
-				o.h.b.noteFrame(final.kind, true, 0)
+				o.h.finish(o.srcErr)
+				return progressed, false, nil
 			}
 		}
-		halfCloseWrite(conn)
-		drainCtrl(conn, ctrl)
-		conn.Close()
-		o.h.finish(err)
-		return sessDone, nil
-	}
-	if o.srcErr != nil {
-		halfCloseWrite(conn)
-		conn.Close()
-		o.h.finish(o.srcErr)
-		return sessDone, nil
-	}
-	final := o.finalFrame()
-	if err := o.writeLink(conn, final); err != nil {
-		conn.Close()
-		return sessFailed, nil
-	}
-	o.h.b.noteFrame(final.kind, true, 0)
-	for {
 		select {
+		case c, ok := <-chunks:
+			if !ok {
+				o.finishing = true
+				continue
+			}
+			o.pending = c
+			o.coalesce()
 		case ev := <-ctrl:
-			if ev.err == nil && ev.f.kind == frameBye {
-				o.h.b.noteFrame(frameBye, false, 0)
+			if ev.err != nil {
+				return progressed, false, ev.err
+			}
+			o.h.b.noteFrame(ev.f.kind, false, 0)
+			switch ev.f.kind {
+			case frameAck:
+				o.credit(ev.f.ack)
+			case frameBye, frameCloseRead:
+				// The reader confirmed the terminal frame, or closed its
+				// end: cascade the close upstream (§3.4).
 				conn.Close()
 				o.src.Close()
 				o.h.finish(nil)
-				return sessDone, nil
-			}
-			switch out, next := o.handleCtrl(ev, conn); out {
-			case ctrlStop:
-				return sessDone, nil
-			case ctrlFailed:
-				return sessFailed, nil
-			case ctrlMoved:
-				return sessMoved, next
+				return progressed, false, nil
+			case frameMoving:
+				o.fence(conn, ev.f)
+				return progressed, true, nil
 			}
 		case <-beat:
-			if err := o.writeLink(conn, frame{kind: frameBeat}); err != nil {
-				conn.Close()
-				return sessFailed, nil
+			if err := o.h.b.writeLink(conn, o.res, o.hdr[:], frame{kind: frameBeat}); err != nil {
+				return progressed, false, err
 			}
-			o.h.b.noteFrame(frameBeat, true, 0)
 		}
 	}
 }
@@ -1248,14 +1202,12 @@ func (o *outboundLink) finishStream(conn net.Conn, ctrl chan ctrlEvent, beat <-c
 // resilience every read is bounded by MissDeadline; the receiver
 // heartbeats the control direction, so a timeout means a dead peer.
 // Every send selects on quit: a session that ends without draining the
-// channel (sessFailed, sessMoved) would otherwise strand this goroutine
-// behind a full buffer for the process lifetime.
+// channel (a dead or moved connection) would otherwise strand this
+// goroutine behind a full buffer for the process lifetime.
 func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}, res *Resilience) {
 	scratch := make([]byte, 16)
 	for {
-		if res != nil {
-			conn.SetReadDeadline(time.Now().Add(res.MissDeadline))
-		}
+		boundRead(conn, res)
 		f, err := readFrameInto(conn, scratch)
 		if err != nil {
 			select {
@@ -1276,11 +1228,21 @@ func readCtrl(conn net.Conn, ctrl chan<- ctrlEvent, quit <-chan struct{}, res *R
 }
 
 // drainCtrl waits briefly for the peer to finish with the connection
-// after the final frame, so buffered data is not reset.
-func drainCtrl(conn net.Conn, ctrl <-chan ctrlEvent) {
-	select {
-	case <-ctrl:
-	case <-time.After(5 * time.Second):
+// after the final frame: it consumes control frames until the peer
+// closes its side, because closing ours with unread ACKs queued would
+// reset the connection and discard frames the peer has not read yet.
+func drainCtrl(ctrl <-chan ctrlEvent) {
+	t := time.NewTimer(5 * time.Second)
+	defer t.Stop()
+	for {
+		select {
+		case ev := <-ctrl:
+			if ev.err != nil || ev.f.kind == frameMoving {
+				return // readCtrl has stopped
+			}
+		case <-t.C:
+			return
+		}
 	}
 }
 
@@ -1289,27 +1251,25 @@ func drainCtrl(conn net.Conn, ctrl <-chan ctrlEvent) {
 // delivered offset (RESUME), heartbeats the control direction, and
 // treats a silent connection as an outage to heal.
 type inboundLink struct {
+	lifecycle
 	h   *Handle
 	dst io.WriteCloser
 	// traceDst is dst's trace-mark tap, nil when dst is not trace-aware.
 	traceDst traceMarker
 
-	mu     sync.Mutex
-	conn   net.Conn
-	moving bool
+	// Guarded by mu: control-direction writes share the conn with the
+	// heartbeat goroutine and Move.
+	hdr     [16]byte // control-frame header scratch
+	moving  bool     // MOVING sent: no more credit, admit until FENCE
+	writing int      // payload bytes of the dst write in progress
 
-	// hdr stages control-frame headers; guarded by mu (ctrlWrite).
-	hdr [16]byte
-
-	// resilient state; owned by the run goroutine.
-	res       *Resilience
-	rng       *rand.Rand
-	serveRole bool
-	dialAddr  string
-	token     string
-	delivered uint64 // bytes fully written into dst
+	delivered uint64 // bytes fully written into dst; owned by the run goroutine
 }
 
+// sendMoving announces the Move. From here on the link grants no
+// credit, so the bytes still to arrive before the FENCE are bounded by
+// the sender's window, and the local pipe grows to admit them (see
+// deliver). A write already parked on a full pipe is admitted here.
 func (i *inboundLink) sendMoving(addr, token string) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -1317,30 +1277,65 @@ func (i *inboundLink) sendMoving(addr, token string) error {
 		return ErrNotConnected
 	}
 	i.moving = true
-	err := writeFrame(i.conn, frame{kind: frameMoving, token: token, addr: addr})
-	if err == nil {
-		i.h.b.noteFrame(frameMoving, true, 0)
-	}
-	return err
+	i.admit(i.writing)
+	return i.h.b.writeLink(i.conn, i.res, i.hdr[:], frame{kind: frameMoving, token: token, addr: addr})
 }
 
-func (i *inboundLink) setConn(conn net.Conn) {
+// admit grows the local pipe by n bytes of free space, so a write of n
+// bytes cannot block. Caller holds mu.
+func (i *inboundLink) admit(n int) {
+	if g, ok := i.dst.(growableSink); ok && n > 0 {
+		g.Grow(g.Grow(0) + n)
+	}
+}
+
+// abort degrades the link from outside its session: the handle
+// finishes with err before the local pipe and the connection close, so
+// the session's own shutdown cannot mask it.
+func (i *inboundLink) abort(err error) {
+	i.h.finish(err)
+	i.degrade(err)
 	i.mu.Lock()
-	i.conn = conn
+	i.conn.Close()
 	i.mu.Unlock()
 }
 
+func (i *inboundLink) degrade(err error) {
+	i.dst.Close()
+	i.h.finish(err)
+}
+
 // ctrlWrite serializes control-direction writes (ACK, BEAT, RESUME,
-// BYE, CLOSEREAD, MOVING share the conn with the heartbeat goroutine),
-// bounded by MissDeadline when resilient.
+// BYE, CLOSEREAD, MOVING share the conn with the heartbeat goroutine).
 func (i *inboundLink) ctrlWrite(conn net.Conn, f frame) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if i.res != nil {
-		conn.SetWriteDeadline(time.Now().Add(i.res.MissDeadline))
-		defer conn.SetWriteDeadline(time.Time{})
+	return i.h.b.writeLink(conn, i.res, i.hdr[:], f)
+}
+
+// deliver writes one payload into the local pipe and grants the
+// sender credit for the consumed LOGICAL bytes — the sender's window,
+// offsets, and replay buffer all count the uncompressed stream. While
+// a Move is pending it admits the payload instead of granting credit.
+func (i *inboundLink) deliver(conn net.Conn, payload []byte) error {
+	i.mu.Lock()
+	i.writing = len(payload)
+	if i.moving {
+		i.admit(len(payload))
 	}
-	return writeFrameBuf(conn, f, i.hdr[:])
+	i.mu.Unlock()
+	_, err := i.dst.Write(payload)
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.writing = 0
+	if err != nil {
+		return err
+	}
+	i.delivered += uint64(len(payload))
+	if !i.moving {
+		i.h.b.writeLink(conn, i.res, i.hdr[:], frame{kind: frameAck, ack: len(payload)})
+	}
+	return nil
 }
 
 // beatLoop heartbeats the control direction so the sender's bounded
@@ -1356,68 +1351,34 @@ func (i *inboundLink) beatLoop(conn net.Conn, stop <-chan struct{}) {
 			if err := i.ctrlWrite(conn, frame{kind: frameBeat}); err != nil {
 				return // the read deadline will declare the conn dead
 			}
-			i.h.b.noteFrame(frameBeat, true, 0)
 		}
 	}
 }
 
-// redial runs the initial-dial retry loop for DialInbound when the
-// first attempt fails under resilience.
-func (i *inboundLink) redial(addr string) {
-	i.h.b.noteLink("retry")
-	conn, err := i.h.b.reconnect(i.res, i.rng, false, addr, i.token, time.Now())
+// rearm answers REDIRECT: the writer end is moving, so the rendezvous
+// re-arms on our broker with the announced token and the writer's new
+// host connects directly (§4.3). The replacement is handed to whoever
+// tracks this handle before it finishes, so the tracker never observes
+// a gap, and inherits the hook, so a further redirect keeps the chain
+// alive.
+func (i *inboundLink) rearm(token string) error {
+	nh, err := i.h.b.ServeInbound(token, i.dst)
 	if err != nil {
-		i.h.b.noteLink("fail")
-		i.dst.Close()
-		i.h.finish(err)
-		return
+		return fmt.Errorf("netio: redirect re-arm: %w", err)
 	}
-	i.h.markReady(addr)
-	i.setConn(conn)
-	i.run(conn)
+	if hook := i.h.rearmHook(); hook != nil {
+		nh.SetRearmHook(hook)
+		hook(nh)
+	}
+	return nil
 }
 
-func (i *inboundLink) run(conn net.Conn) {
-	var outageStart time.Time
-	for {
-		done, progressed := i.session(conn)
-		if progressed {
-			outageStart = time.Time{}
-		}
-		if done {
-			return
-		}
-		if i.res == nil {
-			return // legacy sessions always finish
-		}
-		if outageStart.IsZero() {
-			outageStart = time.Now()
-		}
-		next, err := i.h.b.reconnect(i.res, i.rng, i.serveRole, i.dialAddr, i.token, outageStart)
-		if err != nil {
-			// Degrade: poison the local reader so the process network
-			// terminates by cascading close instead of hanging (§3.4).
-			i.h.b.noteLink("fail")
-			i.dst.Close()
-			i.h.finish(err)
-			return
-		}
-		i.h.b.noteLink("heal")
-		i.setConn(next)
-		conn = next
-	}
-}
-
-// session drives one connection's worth of the inbound stream. It
-// returns done=false (resilient mode only) when the connection died
-// and the stream should resume on a fresh one.
-func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
+// session drives one connection's worth of the inbound stream.
+func (i *inboundLink) session(conn net.Conn) (progressed, moved bool, err error) {
 	if i.res != nil {
 		if err := i.ctrlWrite(conn, frame{kind: frameResume, off: i.delivered}); err != nil {
-			conn.Close()
-			return false, false
+			return false, false, err
 		}
-		i.h.b.noteFrame(frameResume, true, 0)
 		stop := make(chan struct{})
 		defer close(stop)
 		go i.beatLoop(conn, stop)
@@ -1432,34 +1393,21 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 	dec := getChunkBuf()
 	defer putChunkBuf(dec)
 	for {
-		if i.res != nil {
-			conn.SetReadDeadline(time.Now().Add(i.res.MissDeadline))
-		}
+		boundRead(conn, i.res)
 		f, err := readFrameInto(conn, *scratch)
 		if err != nil {
 			i.mu.Lock()
 			moving := i.moving
 			i.mu.Unlock()
+			if !moving {
+				return progressed, false, err
+			}
+			// We initiated a move and the fence may have raced the
+			// close; the migration machinery drains the pipe, so do
+			// not close dst.
 			conn.Close()
-			if moving {
-				// We initiated a move and the fence may have raced the
-				// close; the migration machinery drains the pipe, so do
-				// not close dst.
-				i.h.finish(nil)
-				return true, progressed
-			}
-			if i.res != nil {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					i.h.b.noteLink("miss")
-				}
-				return false, progressed
-			}
-			// Connection lost: close the data stream so the local reader
-			// terminates.
-			i.dst.Close()
 			i.h.finish(nil)
-			return true, progressed
+			return progressed, false, nil
 		}
 		progressed = true
 		if f.kind != frameData && f.kind != frameDataC {
@@ -1486,74 +1434,45 @@ func (i *inboundLink) session(conn net.Conn) (done, progressed bool) {
 					// A block that fails its strict decode is wire
 					// corruption, exactly like an unknown frame kind.
 					conn.Close()
-					i.dst.Close()
-					i.h.finish(ErrBadFrame)
-					return true, progressed
+					i.degrade(ErrBadFrame)
+					return progressed, false, nil
 				}
 				payload = out
 			}
 			i.h.b.noteData(f.kind, false, len(f.payload), len(payload))
-			if _, err := i.dst.Write(payload); err != nil {
+			if err := i.deliver(conn, payload); err != nil {
 				// Local reader closed: cascade upstream (§3.4).
 				i.ctrlWrite(conn, frame{kind: frameCloseRead})
-				i.h.b.noteFrame(frameCloseRead, true, 0)
 				conn.Close()
 				i.h.finish(nil)
-				return true, progressed
+				return progressed, false, nil
 			}
-			i.delivered += uint64(len(payload))
-			// Grant the sender credit for the consumed LOGICAL bytes —
-			// the sender's window, offsets, and replay buffer all count
-			// the uncompressed stream.
-			i.ctrlWrite(conn, frame{kind: frameAck, ack: len(payload)})
-			i.h.b.noteFrame(frameAck, true, 0)
-		case frameEOF:
+		case frameEOF, frameRedirect:
+			// The writer is done with this connection; a resilient
+			// sender waits for our BYE before it shuts down.
 			if i.res != nil {
-				if i.ctrlWrite(conn, frame{kind: frameBye}) == nil {
-					i.h.b.noteFrame(frameBye, true, 0)
-				}
+				i.ctrlWrite(conn, frame{kind: frameBye})
 			}
-			i.dst.Close()
+			var err error
+			if f.kind == frameEOF {
+				i.dst.Close()
+			} else {
+				err = i.rearm(f.token)
+			}
 			conn.Close()
-			i.h.finish(nil)
-			return true, progressed
+			i.h.finish(err)
+			return progressed, false, nil
 		case frameFence:
 			// We asked the writer to move to a new host; the stream
 			// pauses here and resumes there. Do not close dst: the
 			// migration machinery drains it into the descriptor.
 			conn.Close()
 			i.h.finish(nil)
-			return true, progressed
-		case frameRedirect:
-			// Writer end is moving: re-arm the rendezvous on our broker
-			// with the announced token; the writer's new host will
-			// connect directly (§4.3).
-			if i.res != nil {
-				if i.ctrlWrite(conn, frame{kind: frameBye}) == nil {
-					i.h.b.noteFrame(frameBye, true, 0)
-				}
-			}
-			nh, err := i.h.b.ServeInbound(f.token, i.dst)
-			conn.Close()
-			if err != nil {
-				i.h.finish(fmt.Errorf("netio: redirect re-arm: %w", err))
-				return true, progressed
-			}
-			// Hand the replacement to whoever tracks this handle before
-			// finishing, so the tracker never observes a gap — and seed
-			// the hook on the replacement, so a further redirect keeps
-			// the chain alive.
-			if hook := i.h.rearmHook(); hook != nil {
-				nh.SetRearmHook(hook)
-				hook(nh)
-			}
-			i.h.finish(nil)
-			return true, progressed
+			return progressed, false, nil
 		default:
 			conn.Close()
-			i.dst.Close()
-			i.h.finish(ErrBadFrame)
-			return true, progressed
+			i.degrade(ErrBadFrame)
+			return progressed, false, nil
 		}
 	}
 }

@@ -187,6 +187,7 @@ type Session struct {
 	streams  map[uint32]*Stream
 	nextID   uint32 // next locally originated stream id
 	lastPeer uint32 // highest peer-originated stream id seen
+	closing  bool   // Close is saying GO; the session dies with ErrSessionClosed
 	closed   bool
 	err      error
 
@@ -274,14 +275,19 @@ func (s *Session) NumStreams() int {
 
 // OpenStream opens a new virtual stream toward the peer.
 func (s *Session) OpenStream() (*Stream, error) {
+	// The write lock spans the id allocation and the SYN, so SYNs reach
+	// the wire in id order: the peer rejects an id below one it has seen.
+	s.wmu.Lock()
 	s.mu.Lock()
 	if s.closed {
 		err := s.err
 		s.mu.Unlock()
+		s.wmu.Unlock()
 		return nil, err
 	}
 	if len(s.streams) >= s.cfg.maxStreams() {
 		s.mu.Unlock()
+		s.wmu.Unlock()
 		return nil, ErrStreamLimit
 	}
 	id := s.nextID
@@ -289,7 +295,9 @@ func (s *Session) OpenStream() (*Stream, error) {
 	st := newStream(s, id)
 	s.streams[id] = st
 	s.mu.Unlock()
-	if err := s.writeFrame(kindSYN, id, nil); err != nil {
+	err := s.writeLocked(kindSYN, id, nil)
+	s.wmu.Unlock()
+	if err != nil {
 		s.removeStream(st)
 		return nil, err
 	}
@@ -314,26 +322,32 @@ func (s *Session) AcceptStream() (*Stream, error) {
 
 // Close tears the session down deliberately: a best-effort GO frame
 // tells the peer, every stream fails with ErrSessionClosed, and the
-// connection closes.
+// connection closes. Close returns once the teardown is complete, even
+// when the read loop, woken by the closing conn, is the one doing it.
 func (s *Session) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
+	first := !s.closed && !s.closing
+	s.closing = true
 	s.mu.Unlock()
-	s.writeFrame(kindGO, 0, nil) // best effort; fail handles a dead conn
-	s.fail(ErrSessionClosed)
+	if first {
+		s.writeFrame(kindGO, 0, nil) // best effort; fail handles a dead conn
+		s.fail(ErrSessionClosed)
+	}
+	<-s.done
 	return nil
 }
 
 // fail kills the session with err: closes the conn, aborts every
-// stream, and releases Done. Idempotent; the first cause wins.
+// stream, and releases Done. Idempotent; the first cause wins, and a
+// deliberate Close wins over the connection error its GO provokes.
 func (s *Session) fail(err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
+	}
+	if s.closing {
+		err = ErrSessionClosed
 	}
 	s.closed = true
 	s.err = err
@@ -369,6 +383,11 @@ func (s *Session) removeStream(st *Stream) {
 func (s *Session) writeFrame(kind byte, id uint32, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	return s.writeLocked(kind, id, payload)
+}
+
+// writeLocked is writeFrame for a caller that holds wmu.
+func (s *Session) writeLocked(kind byte, id uint32, payload []byte) error {
 	if s.werr != nil {
 		return s.werr
 	}
@@ -569,9 +588,9 @@ type Stream struct {
 
 	sendCredit int // bytes we may still send (peer grants)
 
-	remoteDone bool  // peer sent FIN
-	rclosed    bool  // local read side closed
-	wclosed    bool  // local write side closed (FIN sent or queued)
+	remoteDone bool // peer sent FIN
+	rclosed    bool // local read side closed
+	wclosed    bool // local write side closed (FIN sent or queued)
 	finSent    bool
 	rstSent    bool
 	resetErr   error // stream aborted (RST or session death)

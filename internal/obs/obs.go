@@ -230,9 +230,6 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	// aliases maps an exposition-only metric name to the family whose
-	// series it mirrors (see Alias).
-	aliases map[string]string
 	// seriesLimit caps the distinct label sets per family (see
 	// SetSeriesLimit); dropped counts series refused at the cap, and
 	// warned remembers which families already logged the one-line
@@ -401,34 +398,8 @@ func (r *Registry) Help(name, text string) {
 	}
 }
 
-// Alias arranges for every series of the target family to also appear
-// in Samples (and therefore the Prometheus exposition) under the alias
-// name, with identical labels and values. It exists so a metric family
-// can be renamed without breaking dashboards: the canonical series keep
-// one set of live instruments, and the alias is materialized only at
-// snapshot time — the hot path pays nothing. Aliasing a name that later
-// gains its own instruments is rejected at snapshot time (the real
-// family wins); chained aliases are not followed.
-func (r *Registry) Alias(alias, target string) {
-	if r == nil || alias == target || alias == "" || target == "" {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.aliases == nil {
-		r.aliases = make(map[string]string)
-	}
-	r.aliases[alias] = target
-}
-
-// AliasHelp attaches help text to an alias name so the exposition can
-// document it like a real family.
-func (r *Registry) AliasHelp(alias, text string) { r.Help(alias, text) }
-
 // Samples returns a point-in-time snapshot of every series, sorted by
 // metric name and then label key, suitable for building summary tables.
-// Alias families (see Alias) are materialized as copies of their target
-// family's series.
 func (r *Registry) Samples() []Sample {
 	if r == nil {
 		return nil
@@ -470,26 +441,6 @@ func (r *Registry) Samples() []Sample {
 				}
 			}
 			out = append(out, sm)
-		}
-	}
-	if len(r.aliases) > 0 {
-		names := make([]string, 0, len(r.aliases))
-		for a := range r.aliases {
-			names = append(names, a)
-		}
-		sort.Strings(names)
-		for _, alias := range names {
-			if f := r.families[alias]; f != nil && len(f.series) > 0 {
-				continue // a real family took the name; it wins
-			}
-			target := r.aliases[alias]
-			for _, s := range out {
-				if s.Name == target {
-					dup := s
-					dup.Name = alias
-					out = append(out, dup)
-				}
-			}
 		}
 	}
 	// The cardinality guard's drop count is materialized as a synthetic

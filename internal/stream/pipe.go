@@ -596,6 +596,7 @@ func (w writerEnd) Write(b []byte) (int, error)          { return w.p.Write(b) }
 func (w writerEnd) WriteVec(bufs ...[]byte) (int, error) { return w.p.WriteVec(bufs...) }
 func (w writerEnd) MarkTrace(id uint64)                  { w.p.MarkTrace(id) }
 func (w writerEnd) HintShape(s uint32)                   { w.p.HintShape(s) }
+func (w writerEnd) Grow(newCap int) int                  { return w.p.Grow(newCap) }
 func (w writerEnd) Close() error                         { return w.p.CloseWrite() }
 
 // readerEnd adapts the pipe's read half to io.ReadCloser.

@@ -35,7 +35,7 @@ func StatsLine(reg *obs.Registry) string {
 	return fmt.Sprintf(
 		"procs live=%d blocked=%d spawned=%d | chan tokens=%d bytes=%d grows=%d | net in=%dB out=%dB | tasks=%d rpcs=%d | deadlock checks=%d resolved=%d",
 		a["dpn_net_procs_live"], a["dpn_net_procs_blocked"], a["dpn_net_procs_spawned_total"],
-		a["dpn_channel_tokens_total"], a["dpn_channel_bytes_total"], a["dpn_channel_grows_total"],
+		a["dpn_conduit_tokens_total"], a["dpn_conduit_bytes_total"], a["dpn_conduit_grows_total"],
 		aggLabel(reg, "dpn_broker_bytes_total", "dir", "in"),
 		aggLabel(reg, "dpn_broker_bytes_total", "dir", "out"),
 		a["dpn_meta_tasks_total"], a["dpn_server_rpcs_total"],
@@ -87,27 +87,27 @@ func StatsTable(w io.Writer, reg *obs.Registry) {
 			r := rowFor(ch)
 			write := s.Label("op") == "write"
 			switch s.Name {
-			case "dpn_channel_tokens_total":
+			case "dpn_conduit_tokens_total":
 				if write {
 					r.tokensIn += s.Value
 				} else {
 					r.tokensOut += s.Value
 				}
-			case "dpn_channel_bytes_total":
+			case "dpn_conduit_bytes_total":
 				if write {
 					r.bytesIn += s.Value
 				} else {
 					r.bytesOut += s.Value
 				}
-			case "dpn_channel_occupancy_peak_bytes":
+			case "dpn_conduit_occupancy_peak_bytes":
 				r.peak = s.Value
-			case "dpn_channel_capacity_bytes":
+			case "dpn_conduit_capacity_bytes":
 				r.capacity = s.Value
-			case "dpn_channel_grows_total":
+			case "dpn_conduit_grows_total":
 				r.grows += s.Value
-			case "dpn_channel_blocks_total":
+			case "dpn_conduit_blocks_total":
 				r.blocks += s.Value
-			case "dpn_channel_block_seconds":
+			case "dpn_conduit_block_seconds":
 				r.blockSeconds += s.Sum
 			}
 		}

@@ -86,6 +86,45 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# replay_gate NAME PATTERN COUNT TIMEOUT runs the race-enabled tests
+# matching PATTERN across the module, COUNT times each. On failure it
+# replays the last logged seeds once (CHAOS_SEED pins a fault schedule,
+# WORKLOAD_SEED a topology and its data) in the failing packages: a
+# second failure is REPRODUCIBLE — report it with those seeds — while a
+# replay pass classifies the original failure as FLAKY. Both exit 1.
+replay_gate() {
+	name=$1 pat=$2 count=$3 timeout=$4
+	log=$(mktemp)
+	trap 'rm -f "$log"' EXIT
+	echo "$name gate: go test -race -run '$pat' -count=$count ./..."
+	# A pipeline's status is tee's, so a failed run leaves a marker line.
+	{ go test -race -run "$pat" -count="$count" -timeout "$timeout" ./... 2>&1 ||
+		echo "$name gate: tests failed"; } | tee "$log"
+	if ! grep -q "^$name gate: tests failed\$" "$log"; then
+		echo "$name gate: PASS"
+		return 0
+	fi
+	seed=$(grep -Eo 'chaos seed [0-9]+' "$log" | tail -n 1 | grep -Eo '[0-9]+' || true)
+	wseed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
+	seeds=""
+	[ -z "$seed" ] || seeds="CHAOS_SEED=$seed"
+	[ -z "$wseed" ] || seeds="${seeds:+$seeds }WORKLOAD_SEED=$wseed"
+	if [ -z "$seeds" ]; then
+		echo "$name gate: FAIL (no 'chaos seed N' or 'workload seed N' line logged; not replayable)"
+		return 1
+	fi
+	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
+	[ -n "$pkgs" ] || pkgs=./...
+	echo "$name gate: FAIL — replaying with $seeds: $pkgs"
+	# shellcheck disable=SC2086 # seeds and pkgs are word lists
+	if env $seeds go test -race -run "$pat" -count=1 -timeout "$timeout" $pkgs; then
+		echo "$name gate: FLAKY ($seeds passed on replay; original failure did not reproduce)"
+		return 1
+	fi
+	echo "$name gate: REPRODUCIBLE — rerun with $seeds to debug"
+	return 1
+}
+
 if [ "${1:-}" = "-bench" ]; then
 	base="${2:-BENCH_pr3.json}"
 	if [ ! -f "$base" ]; then
@@ -135,7 +174,7 @@ if [ "${1:-}" = "-obs" ]; then
 	# and TestObservabilitySmoke — which exercises the live metrics
 	# endpoint and the distributed trace-merge round-trip through the
 	# real binaries.
-	pat='(Trace|TopView|GatherMetrics|Cardinality|Prom|WaitNanos|DeadlockDump|ServeDebugScope|PoolLatency|MetricAliases|MetricsOverRPC|ObservabilitySmoke)'
+	pat='(Trace|TopView|GatherMetrics|Cardinality|Prom|WaitNanos|DeadlockDump|ServeDebugScope|PoolLatency|MetricsOverRPC|ObservabilitySmoke)'
 	echo "obs gate: go test -race -run '$pat' -count=1 ./..."
 	go test -race -run "$pat" -count=1 -timeout 10m ./... || fail=1
 
@@ -178,33 +217,12 @@ if [ "${1:-}" = "-obs" ]; then
 fi
 
 if [ "${1:-}" = "-chaos" ]; then
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "chaos gate: go test -race -run Chaos -count=3 ./..."
-	if go test -race -run Chaos -count=3 ./... 2>&1 | tee "$log"; then
-		echo "chaos gate: PASS"
-		exit 0
-	fi
-	# The chaos sweep now includes the graph-shape fuzzer's random
+	# The chaos sweep includes the graph-shape fuzzer's random
 	# topologies under fault injection (TestGraphFuzzChaos), which pin
 	# their topology with WORKLOAD_SEED; link-level chaos tests pin
-	# their fault schedule with CHAOS_SEED. Replay with whichever the
-	# failing run logged (both, when both appear).
-	seed=$(grep -Eo 'chaos seed [0-9]+' "$log" | tail -n 1 | grep -Eo '[0-9]+' || true)
-	wseed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ] && [ -z "$wseed" ]; then
-		echo "chaos gate: FAIL (no 'chaos seed N' or 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "chaos gate: FAIL — replaying with CHAOS_SEED=${seed:-unset} WORKLOAD_SEED=${wseed:-unset}: $pkgs"
-	if CHAOS_SEED="$seed" WORKLOAD_SEED="$wseed" go test -race -run Chaos -count=1 $pkgs; then
-		echo "chaos gate: FLAKY (seeds passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "chaos gate: REPRODUCIBLE — rerun with CHAOS_SEED=$seed WORKLOAD_SEED=$wseed to debug"
-	exit 1
+	# their fault schedule with CHAOS_SEED.
+	replay_gate chaos Chaos 3 10m
+	exit 0
 fi
 
 if [ "${1:-}" = "-lint" ]; then
@@ -228,28 +246,8 @@ if [ "${1:-}" = "-lint" ]; then
 fi
 
 if [ "${1:-}" = "-scenarios" ]; then
-	pat='(Scenario|Quantile|PromHistogram|GraphFuzz|FuzzPlan|StreamOracle|SoakSmoke|RegistryConcurrent|RendezvousStorm)'
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "scenario gate: go test -race -run '$pat' -count=1 ./..."
-	if go test -race -run "$pat" -count=1 -timeout 15m ./... 2>&1 | tee "$log"; then
-		echo "scenario gate: PASS"
-		exit 0
-	fi
-	seed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ]; then
-		echo "scenario gate: FAIL (no 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "scenario gate: FAIL — replaying with WORKLOAD_SEED=$seed: $pkgs"
-	if WORKLOAD_SEED="$seed" go test -race -run "$pat" -count=1 $pkgs; then
-		echo "scenario gate: FLAKY (seed $seed passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "scenario gate: REPRODUCIBLE — rerun with WORKLOAD_SEED=$seed to debug"
-	exit 1
+	replay_gate scenario '(Scenario|Quantile|PromHistogram|GraphFuzz|FuzzPlan|StreamOracle|SoakSmoke|RegistryConcurrent|RendezvousStorm)' 1 15m
+	exit 0
 fi
 
 if [ "${1:-}" = "-codec" ]; then
@@ -289,28 +287,8 @@ if [ "${1:-}" = "-wal" ]; then
 	# endpoint restarts, the crash-found link regressions, and the
 	# kill-restart scenario matrix (a re-exec'd producer SIGKILLed
 	# twice mid-stream, output byte-identical to the oracle).
-	pat='(Durable|KillRestart|JournalDir|RebaseMidChunkCompressedReplay|BrokerCloseInterruptsReconnectBackoff|RateChargesOnlyWrittenBytes)'
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "wal gate: go test -race -run '$pat' -count=1 ./..."
-	if go test -race -run "$pat" -count=1 -timeout 15m ./... 2>&1 | tee "$log"; then
-		echo "wal gate: PASS"
-		exit 0
-	fi
-	seed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ]; then
-		echo "wal gate: FAIL (no 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "wal gate: FAIL — replaying with WORKLOAD_SEED=$seed: $pkgs"
-	if WORKLOAD_SEED="$seed" go test -race -run "$pat" -count=1 $pkgs; then
-		echo "wal gate: FLAKY (seed $seed passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "wal gate: REPRODUCIBLE — rerun with WORKLOAD_SEED=$seed to debug"
-	exit 1
+	replay_gate wal '(Durable|KillRestart|JournalDir|RebaseMidChunkCompressedReplay|BrokerCloseInterruptsReconnectBackoff|RateChargesOnlyWrittenBytes)' 1 15m
+	exit 0
 fi
 
 if [ "${1:-}" = "-mux" ]; then
@@ -321,30 +299,10 @@ if [ "${1:-}" = "-mux" ]; then
 	go test -race -count=1 -timeout 10m ./internal/netio/mux || fail=1
 	[ "$fail" -eq 0 ] || { echo "mux gate: FAIL"; exit 1; }
 	# The layers above: broker session pooling, transport composition,
-	# the FD-bounded storm, and stream equivalence across deployments.
-	pat='(Mux|CascadeEquivalence)'
-	log=$(mktemp)
-	trap 'rm -f "$log"' EXIT
-	echo "mux gate: go test -race -run '$pat' -count=1 ./..."
-	if go test -race -run "$pat" -count=1 -timeout 15m ./... 2>&1 | tee "$log"; then
-		echo "mux gate: PASS"
-		exit 0
-	fi
-	seed=$(grep -Eo 'chaos seed [0-9]+' "$log" | tail -n 1 | grep -Eo '[0-9]+' || true)
-	wseed=$(grep -Eo 'workload seed -?[0-9]+' "$log" | tail -n 1 | grep -Eo '\-?[0-9]+' || true)
-	if [ -z "$seed" ] && [ -z "$wseed" ]; then
-		echo "mux gate: FAIL (no 'chaos seed N' or 'workload seed N' line logged; not replayable)"
-		exit 1
-	fi
-	pkgs=$(grep -E '^(FAIL|---[ ]FAIL)' "$log" | grep -Eo '\bdpn/[a-z/]+' | sort -u || true)
-	[ -n "$pkgs" ] || pkgs=./...
-	echo "mux gate: FAIL — replaying with CHAOS_SEED=${seed:-unset} WORKLOAD_SEED=${wseed:-unset}: $pkgs"
-	if CHAOS_SEED="$seed" WORKLOAD_SEED="$wseed" go test -race -run "$pat" -count=1 $pkgs; then
-		echo "mux gate: FLAKY (seeds passed on replay; original failure did not reproduce)"
-		exit 1
-	fi
-	echo "mux gate: REPRODUCIBLE — rerun with CHAOS_SEED=$seed WORKLOAD_SEED=$wseed to debug"
-	exit 1
+	# the FD-bounded storm, stream equivalence across deployments, and
+	# the bounded §4.3 Move (a reader pipe filled before the move).
+	replay_gate mux '(Mux|CascadeEquivalence|MoveDrainsFullReaderPipe|MoveDeadlineDegrades)' 1 15m
+	exit 0
 fi
 
 if [ "${1:-}" = "-pool" ]; then
