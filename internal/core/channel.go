@@ -38,16 +38,8 @@ func NewChannel(name string, capacity int) *Channel {
 func newChannel(n *Network, name string, capacity int) *Channel {
 	cd := conduit.New(name, capacity)
 	ch := &Channel{name: name, cd: cd, net: n}
-	ch.w = &WritePort{s: &wstate{
-		name: name + ".w",
-		sw:   cd.Entry(),
-		ch:   ch,
-	}}
-	ch.r = &ReadPort{s: &rstate{
-		name: name + ".r",
-		seq:  cd.Exit(),
-		ch:   ch,
-	}}
+	ch.w = &WritePort{s: newWState(name+".w", cd.Entry(), ch)}
+	ch.r = &ReadPort{s: newRState(name+".r", cd.Exit(), ch)}
 	if n != nil {
 		cd.Instrument(n.Obs(), n)
 		ch.tokensIn, ch.tokensOut = conduit.TokenCounters(n.Obs(), name)

@@ -12,6 +12,7 @@ import (
 
 	"dpn/internal/conduit"
 	"dpn/internal/stream"
+	"dpn/internal/token"
 )
 
 // ErrDetached is returned by operations on a port whose transport has
@@ -23,10 +24,24 @@ var ErrDetached = conduit.ErrDetached
 // rstate is the shared state behind one or more *ReadPort handles. Ports
 // are a single pointer to their state so that gob decoding can rebind a
 // freshly allocated port to reconstructed state without copying locks.
+// The state also owns the port's typed reader, so a process decodes
+// through one codec for the port's whole life instead of building one
+// per element; a state swap (Detach, gob rebind) swaps the codec with
+// it.
 type rstate struct {
 	name string
 	seq  *stream.SequenceReader
 	ch   *Channel // nil when the port is not attached to a local channel
+	tok  *token.Reader
+}
+
+// newRState builds port state whose codec reads through the state
+// itself: the codec's handle is private, so no Detach can move it off
+// the state it was built for.
+func newRState(name string, seq *stream.SequenceReader, ch *Channel) *rstate {
+	s := &rstate{name: name, seq: seq, ch: ch}
+	s.tok = token.NewReader(&ReadPort{s: s})
+	return s
 }
 
 // ReadPort is the consuming end of a channel. It corresponds to the
@@ -83,7 +98,7 @@ func (p *ReadPort) Detach() io.ReadCloser {
 		return nil
 	}
 	seq := p.s.seq
-	p.s = &rstate{name: p.s.name + "<detached>"}
+	p.s = newRState(p.s.name+"<detached>", nil, nil)
 	return seq
 }
 
@@ -134,13 +149,38 @@ func (p *ReadPort) NoteTokens(k int) {
 	}
 }
 
+// Tokens returns the port's typed reader: the one codec every Step
+// should decode through. It reads through the port's current state, so
+// the usual pattern is to fetch it per Step, not to cache it across a
+// reconfiguration:
+//
+//	v, err := p.In.Tokens().ReadInt64()
+//
+// Like the port itself, the codec belongs to the one process reading
+// the port.
+func (p *ReadPort) Tokens() *token.Reader {
+	if p.s == nil {
+		return token.NewReader(p)
+	}
+	return p.s.tok
+}
+
 func (p *ReadPort) String() string { return fmt.Sprintf("ReadPort(%s)", p.Name()) }
 
-// wstate is the shared state behind a *WritePort handle.
+// wstate is the shared state behind a *WritePort handle, including the
+// port's typed writer (see rstate).
 type wstate struct {
 	name string
 	sw   *stream.SwitchWriter
 	ch   *Channel
+	tok  *token.Writer
+}
+
+// newWState is newRState for the producing end.
+func newWState(name string, sw *stream.SwitchWriter, ch *Channel) *wstate {
+	s := &wstate{name: name, sw: sw, ch: ch}
+	s.tok = token.NewWriter(&WritePort{s: s})
+	return s
 }
 
 // WritePort is the producing end of a channel, corresponding to the
@@ -201,7 +241,7 @@ func (p *WritePort) Detach() io.WriteCloser {
 		return nil
 	}
 	sw := p.s.sw
-	p.s = &wstate{name: p.s.name + "<detached>"}
+	p.s = newWState(p.s.name+"<detached>", nil, nil)
 	return sw
 }
 
@@ -236,6 +276,16 @@ func (p *WritePort) NoteTokens(k int) {
 	if p.s != nil && p.s.ch != nil {
 		p.s.ch.tokensIn.Add(int64(k))
 	}
+}
+
+// Tokens returns the port's typed writer, the write-side twin of
+// ReadPort.Tokens. It survives RetargetSink: the switch writer under
+// the port replays the last shape hint onto the new sink.
+func (p *WritePort) Tokens() *token.Writer {
+	if p.s == nil {
+		return token.NewWriter(p)
+	}
+	return p.s.tok
 }
 
 func (p *WritePort) String() string { return fmt.Sprintf("WritePort(%s)", p.Name()) }

@@ -156,10 +156,10 @@ func (p *ReadPort) GobDecode(b []byte) error {
 // AttachForeignRead builds a read port over an arbitrary transport (for
 // example a network stream) that is not part of any local channel.
 func AttachForeignRead(name string, src io.ReadCloser) *ReadPort {
-	return &ReadPort{s: &rstate{name: name, seq: stream.NewSequenceReader(src)}}
+	return &ReadPort{s: newRState(name, stream.NewSequenceReader(src), nil)}
 }
 
 // AttachForeignWrite builds a write port over an arbitrary transport.
 func AttachForeignWrite(name string, dst io.WriteCloser) *WritePort {
-	return &WritePort{s: &wstate{name: name, sw: stream.NewSwitchWriter(dst)}}
+	return &WritePort{s: newWState(name, stream.NewSwitchWriter(dst), nil)}
 }

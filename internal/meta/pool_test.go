@@ -356,19 +356,27 @@ func TestPoolChaosElasticDeterminacy(t *testing.T) {
 		in *core.ReadPort
 	}
 	var lanes []lane
+	// join keeps only lanes the pool accepted: AddLane refuses (-1, no
+	// port) once the pool has ended, and a refused lane has nothing to
+	// retire or kill.
+	join := func(tag string) {
+		if id, in := killableLane(e, tag); id >= 0 {
+			lanes = append(lanes, lane{id, in})
+		}
+	}
 	for i := 0; i < 2; i++ {
-		id, in := killableLane(e, "k"+strconv.Itoa(i))
-		lanes = append(lanes, lane{id, in})
+		join("k" + strconv.Itoa(i))
 	}
 	got := collectResults(e.Consumer)
 	e.Spawn(n)
+	opsDone := make(chan struct{})
 	go func() {
+		defer close(opsDone)
 		for op := 0; op < 12; op++ {
 			time.Sleep(time.Duration(rng.Intn(3)+1) * time.Millisecond)
 			switch rng.Intn(3) {
 			case 0:
-				id, in := killableLane(e, "c"+strconv.Itoa(op))
-				lanes = append(lanes, lane{id, in})
+				join("c" + strconv.Itoa(op))
 			case 1:
 				if len(lanes) > 0 {
 					i := rng.Intn(len(lanes))
@@ -385,6 +393,7 @@ func TestPoolChaosElasticDeterminacy(t *testing.T) {
 		}
 	}()
 	waitNet(t, n)
+	<-opsDone // the op schedule must not outlive the test
 	eq(t, *got, wantSquares(tasks))
 }
 

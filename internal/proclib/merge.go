@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // OrderedMerge merges N ascending int64 streams into one ascending
@@ -36,7 +35,7 @@ func (m *OrderedMerge) Step(env *core.Env) error {
 		if m.loaded[i] || m.done[i] {
 			continue
 		}
-		v, err := token.NewReader(m.Ins[i]).ReadInt64()
+		v, err := m.Ins[i].Tokens().ReadInt64()
 		if err == io.EOF {
 			m.done[i] = true
 			continue
@@ -65,7 +64,7 @@ func (m *OrderedMerge) Step(env *core.Env) error {
 			m.loaded[i] = false
 		}
 	}
-	return token.NewWriter(m.Out).WriteInt64(minV)
+	return m.Out.Tokens().WriteInt64(minV)
 }
 
 // ModSplit is the "mod" process of Figure 13: values divisible by N go
@@ -83,14 +82,14 @@ type ModSplit struct {
 
 // Step implements core.Stepper.
 func (m *ModSplit) Step(env *core.Env) error {
-	v, err := token.NewReader(m.In).ReadInt64()
+	v, err := m.In.Tokens().ReadInt64()
 	if err != nil {
 		return err
 	}
 	if v%m.N == 0 {
-		return token.NewWriter(m.OutMultiple).WriteInt64(v)
+		return m.OutMultiple.Tokens().WriteInt64(v)
 	}
-	return token.NewWriter(m.OutOther).WriteInt64(v)
+	return m.OutOther.Tokens().WriteInt64(v)
 }
 
 // Scatter distributes length-prefixed blocks from In to its outputs in
@@ -128,7 +127,7 @@ func (s *Scatter) Step(env *core.Env) error {
 	if s.live == 0 {
 		return io.EOF
 	}
-	b, err := token.NewReader(s.In).ReadBlockBuf(s.buf)
+	b, err := s.In.Tokens().ReadBlockBuf(s.buf)
 	if err != nil {
 		// Torn block (io.ErrUnexpectedEOF) or end of input: either way
 		// no partial element was surfaced, so nothing is emitted and the
@@ -142,7 +141,7 @@ func (s *Scatter) Step(env *core.Env) error {
 		}
 		out := s.Outs[s.next]
 		s.next = (s.next + 1) % len(s.Outs)
-		err := token.NewWriter(out).WriteBlock(b)
+		err := out.Tokens().WriteBlock(b)
 		if err == nil {
 			return nil
 		}
@@ -202,10 +201,10 @@ func (g *Gather) Step(env *core.Env) error {
 			g.next = (g.next + 1) % len(g.Ins)
 		}
 		in := g.Ins[g.next]
-		b, err := token.NewReader(in).ReadBlock()
+		b, err := in.Tokens().ReadBlock()
 		if err == nil {
 			g.next = (g.next + 1) % len(g.Ins)
-			return token.NewWriter(g.Out).WriteBlock(b)
+			return g.Out.Tokens().WriteBlock(b)
 		}
 		if !errors.Is(err, io.EOF) {
 			return err // torn block or transport fault: not a clean close

@@ -15,6 +15,7 @@ type SwitchWriter struct {
 	mu     sync.Mutex
 	w      io.WriteCloser
 	closed bool
+	shape  uint32 // last HintShape value, replayed onto a Retarget's new sink
 }
 
 // NewSwitchWriter returns a switch writer targeting w.
@@ -79,6 +80,7 @@ func (s *SwitchWriter) WriteVec(bufs ...[]byte) (int, error) {
 // stamping writer has already been switched away from.
 func (s *SwitchWriter) HintShape(shape uint32) {
 	s.mu.Lock()
+	s.shape = shape
 	w := s.w
 	s.mu.Unlock()
 	if sh, ok := w.(ShapeHinter); ok {
@@ -88,12 +90,18 @@ func (s *SwitchWriter) HintShape(shape uint32) {
 
 // Retarget swaps the sink. The previous sink is returned (not closed):
 // the migration machinery usually still needs it, for example to pump
-// residual pipe contents to the network.
+// residual pipe contents to the network. The last shape hint is
+// replayed onto the new sink: a long-lived stamping writer (a port's
+// token codec) stamps once, so without the replay the new sink would
+// never see it.
 func (s *SwitchWriter) Retarget(w io.WriteCloser) io.WriteCloser {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.w
 	s.w = w
+	if sh, ok := w.(ShapeHinter); ok && s.shape != 0 {
+		sh.HintShape(s.shape)
+	}
 	return old
 }
 

@@ -3,6 +3,8 @@ package token
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -296,5 +298,58 @@ func TestReadBlockBufReuse(t *testing.T) {
 	}
 	if &back[0] != &b2[:1][0] {
 		t.Fatal("ReadBlockBuf reallocated despite sufficient capacity")
+	}
+}
+
+// allocBytesPerOp reports the mean heap bytes f allocates per call.
+func allocBytesPerOp(runs int, f func()) float64 {
+	f() // warm-up: pools, lazily built state
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFreshWriterSmallBatchIsRightSized pins the staging buffer to the
+// element it stages: a codec built for one 3-element batch must not
+// reserve stageMax up front. The long-lived-writer sentinels cannot
+// catch that, because they pay the reservation once.
+func TestFreshWriterSmallBatchIsRightSized(t *testing.T) {
+	vs := []int64{1, 2, 3}
+	got := allocBytesPerOp(1000, func() {
+		if err := NewWriter(io.Discard).WriteInt64s(vs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got >= 1024 {
+		t.Fatalf("fresh Writer.WriteInt64s of 3 elements allocates %.0f B/op, want < 1 KiB", got)
+	}
+}
+
+// TestStageBufGrowsToFit checks the staging growth policy: exact
+// slices, capacity at least doubling, never past stageMax, and a
+// transient buffer beyond it.
+func TestStageBufGrowsToFit(t *testing.T) {
+	var st []byte
+	if b := stageBuf(&st, 24); len(b) != 24 || cap(st) != 24 {
+		t.Fatalf("first stage: len %d cap %d, want 24/24", len(b), cap(st))
+	}
+	if b := stageBuf(&st, 30); len(b) != 30 || cap(st) != 48 {
+		t.Fatalf("grown stage: len %d cap %d, want 30/48", len(b), cap(st))
+	}
+	if b := stageBuf(&st, 8); len(b) != 8 || cap(st) != 48 {
+		t.Fatalf("shrinking request reallocated: len %d cap %d", len(b), cap(st))
+	}
+	if stageBuf(&st, 40000); cap(st) != 40000 {
+		t.Fatalf("stage cap %d, want 40000 (request beats doubling)", cap(st))
+	}
+	if stageBuf(&st, 50000); cap(st) != stageMax {
+		t.Fatalf("stage cap %d, want clamp at %d", cap(st), stageMax)
+	}
+	if b := stageBuf(&st, stageMax+1); len(b) != stageMax+1 || cap(st) != stageMax {
+		t.Fatalf("oversize request: len %d, stage cap %d", len(b), cap(st))
 	}
 }

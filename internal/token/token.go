@@ -35,8 +35,9 @@ import (
 const MaxBlockSize = 1 << 26 // 64 MiB
 
 // stageMax bounds the reusable staging buffer a Writer or Reader holds
-// on to between calls. Elements larger than this either go through the
-// sink's vectored write path or a transient buffer — a single huge
+// on to between calls. The buffer grows only as far as the elements it
+// stages (see stageBuf). Elements larger than this either go through
+// the sink's vectored write path or a transient buffer — a single huge
 // block must not pin memory for the lifetime of the codec.
 const stageMax = 64 * 1024
 
@@ -44,6 +45,28 @@ const stageMax = 64 * 1024
 // shared pools; oversized one-off encodings are dropped instead of
 // pinned.
 const poolBufMax = 1 << 20
+
+// stageBuf returns a buffer of exactly n bytes. Within stageMax it
+// reuses *stage, growing it to fit (at least doubling, capped at
+// stageMax) so a codec's staging buffer is sized by the elements it has
+// actually moved: a codec that only stages 24-byte triples holds 24
+// bytes. Larger requests get a transient buffer.
+func stageBuf(stage *[]byte, n int) []byte {
+	if n > stageMax {
+		return make([]byte, n)
+	}
+	if cap(*stage) < n {
+		c := 2 * cap(*stage)
+		if c < n {
+			c = n
+		}
+		if c > stageMax {
+			c = stageMax
+		}
+		*stage = make([]byte, c)
+	}
+	return (*stage)[:n]
+}
 
 // Reader decodes typed elements from a byte stream. Every method blocks
 // until the full element has arrived, preserving Kahn blocking-read
@@ -113,19 +136,6 @@ func (d *Reader) noteN(k int) {
 	}
 }
 
-// stageBuf returns a buffer of exactly n bytes, reusing the Reader's
-// staging buffer when n is within stageMax and allocating a transient
-// one otherwise.
-func (d *Reader) stageBuf(n int) []byte {
-	if n > stageMax {
-		return make([]byte, n)
-	}
-	if cap(d.stage) < n {
-		d.stage = make([]byte, n, stageMax)
-	}
-	return d.stage[:n]
-}
-
 // drainable reports how many further fixed-width elements of size w can
 // be read right now without blocking, capped at max and at the staging
 // buffer size. Only bytes already buffered in the source are counted,
@@ -193,7 +203,7 @@ func (d *Reader) ReadInt64s(dst []int64) (int, error) {
 	dst[0] = int64(binary.BigEndian.Uint64(d.scratch[:8]))
 	n := 1
 	if k := d.drainable(len(dst)-1, 8); k > 0 {
-		st := d.stageBuf(k * 8)
+		st := stageBuf(&d.stage, k*8)
 		if _, err := io.ReadFull(d.r, st); err != nil {
 			d.noteN(n)
 			return n, corrupt(err)
@@ -218,7 +228,7 @@ func (d *Reader) ReadFloat64s(dst []float64) (int, error) {
 	dst[0] = math.Float64frombits(binary.BigEndian.Uint64(d.scratch[:8]))
 	n := 1
 	if k := d.drainable(len(dst)-1, 8); k > 0 {
-		st := d.stageBuf(k * 8)
+		st := stageBuf(&d.stage, k*8)
 		if _, err := io.ReadFull(d.r, st); err != nil {
 			d.noteN(n)
 			return n, corrupt(err)
@@ -377,7 +387,9 @@ func NewWriter(w io.Writer) *Writer {
 // paths (see blocks.Shape). Only the batch writers call it — the
 // singular 8-byte fast path must stay hint-free — and the stamp is
 // cached per Writer so a long-lived batch producer pays one atomic
-// store total, not one per call.
+// store total, not one per call. A sink that retargets under a live
+// Writer must therefore carry the last hint over itself, as
+// stream.SwitchWriter does.
 func (e *Writer) hint(s blocks.Shape) {
 	if e.hinter == nil || e.hinted == s {
 		return
@@ -407,19 +419,6 @@ func (e *Writer) noteN(k int) {
 			e.noter.NoteToken()
 		}
 	}
-}
-
-// stageBuf returns a buffer of exactly n bytes, reusing the Writer's
-// staging buffer when n is within stageMax and allocating a transient
-// one otherwise.
-func (e *Writer) stageBuf(n int) []byte {
-	if n > stageMax {
-		return make([]byte, n)
-	}
-	if cap(e.stage) < n {
-		e.stage = make([]byte, n, stageMax)
-	}
-	return e.stage[:n]
 }
 
 // WriteInt64 writes one big-endian int64 element.
@@ -471,7 +470,7 @@ func (e *Writer) WriteInt64s(vs []int64) error {
 		if k*8 > stageMax {
 			k = stageMax / 8
 		}
-		st := e.stageBuf(k * 8)
+		st := stageBuf(&e.stage, k*8)
 		for i, v := range vs[:k] {
 			binary.BigEndian.PutUint64(st[i*8:], uint64(v))
 		}
@@ -492,7 +491,7 @@ func (e *Writer) WriteFloat64s(vs []float64) error {
 		if k*8 > stageMax {
 			k = stageMax / 8
 		}
-		st := e.stageBuf(k * 8)
+		st := stageBuf(&e.stage, k*8)
 		for i, v := range vs[:k] {
 			binary.BigEndian.PutUint64(st[i*8:], math.Float64bits(v))
 		}
@@ -518,7 +517,7 @@ func (e *Writer) WriteBlock(b []byte) error {
 		_, err := e.vw.WriteVec(e.scratch[:4], b)
 		return e.note(err)
 	}
-	st := e.stageBuf(len(b) + 4)
+	st := stageBuf(&e.stage, len(b)+4)
 	binary.BigEndian.PutUint32(st, uint32(len(b)))
 	copy(st[4:], b)
 	_, err := e.w.Write(st)
@@ -564,7 +563,7 @@ func (e *Writer) WriteString(s string) error {
 	if len(s) > MaxBlockSize {
 		return fmt.Errorf("token: block of %d bytes exceeds limit", len(s))
 	}
-	st := e.stageBuf(len(s) + 4)
+	st := stageBuf(&e.stage, len(s)+4)
 	binary.BigEndian.PutUint32(st, uint32(len(s)))
 	copy(st[4:], s)
 	_, err := e.w.Write(st)

@@ -190,17 +190,19 @@ func TestLiveMigrationBatchedFloatBacklog(t *testing.T) {
 	a.Net.Spawn(sink)
 
 	w := token.NewWriter(in.Writer())
-	want := make([]float64, total)
-	for i := range want {
-		want[i] = float64(i) * 0.5
+	var want []float64
+	feed := func(k int) {
+		vs := make([]float64, k)
+		for i := range vs {
+			vs[i] = float64(len(want)+i) * 0.5
+		}
+		if err := w.WriteFloat64s(vs); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, vs...)
 	}
-	if err := w.WriteFloat64s(want); err != nil {
-		t.Fatal(err)
-	}
-	parcel, err := Migrate(a, b.Broker.Addr(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	feed(total)
+	parcel := migrateFeeding(t, a, b, h, func() { feed(8) })
 	in.Writer().Close()
 	if _, err := SpawnImported(b, ship(t, parcel)); err != nil {
 		t.Fatal(err)
@@ -208,6 +210,6 @@ func TestLiveMigrationBatchedFloatBacklog(t *testing.T) {
 	waitNet(t, a.Net, "origin network")
 	waitNet(t, b.Net, "destination network")
 	if got := sink.Values(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("float backlog damaged: got %d values, want %d", len(got), total)
+		t.Fatalf("float backlog damaged: got %d values, want %d", len(got), len(want))
 	}
 }

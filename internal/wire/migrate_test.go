@@ -57,6 +57,36 @@ func init() {
 	gob.Register(&relayProc{})
 }
 
+// migrateFeeding migrates h from a to b while feed tops up h's input.
+// Suspension parks a process only at a step boundary, so a relay that
+// drained its whole backlog before the request would block on an
+// empty input and never park. Feeding a little every millisecond until
+// Migrate returns guarantees the boundary; whatever the relay has not
+// read by then is shipped.
+func migrateFeeding(t *testing.T, a, b *Node, h *core.Proc, feed func()) *Parcel {
+	t.Helper()
+	type migrated struct {
+		parcel *Parcel
+		err    error
+	}
+	done := make(chan migrated, 1)
+	go func() {
+		p, err := Migrate(a, b.Broker.Addr(), h)
+		done <- migrated{p, err}
+	}()
+	for {
+		select {
+		case m := <-done:
+			if m.err != nil {
+				t.Fatal(m.err)
+			}
+			return m.parcel
+		case <-time.After(time.Millisecond):
+			feed()
+		}
+	}
+}
+
 // TestLiveMigrationMidStream is the §6.1 experiment: a running relay
 // process moves from node A to node B while data is flowing through
 // it. Every element must reach the sink exactly once, in order.
@@ -144,23 +174,25 @@ func TestLiveMigrationWithBufferedBacklog(t *testing.T) {
 	// then migrate: part of the backlog is consumed locally, the rest
 	// crosses the wire.
 	w := token.NewWriter(in.Writer())
-	for i := int64(0); i < total; i++ {
-		if err := w.WriteInt64(i); err != nil {
+	var written int64
+	feed := func() {
+		if err := w.WriteInt64(written); err != nil {
 			t.Fatal(err)
 		}
+		written++
 	}
-	parcel, err := Migrate(a, b.Broker.Addr(), h)
-	if err != nil {
-		t.Fatal(err)
+	for written < total {
+		feed()
 	}
+	parcel := migrateFeeding(t, a, b, h, feed)
 	in.Writer().Close()
 	if _, err := SpawnImported(b, ship(t, parcel)); err != nil {
 		t.Fatal(err)
 	}
 	waitNet(t, a.Net, "origin network")
 	waitNet(t, b.Net, "destination network")
-	if got := sink.Values(); !reflect.DeepEqual(got, seq(total)) {
-		t.Fatalf("backlog damaged: got %d values", len(got))
+	if got := sink.Values(); !reflect.DeepEqual(got, seq(written)) {
+		t.Fatalf("backlog damaged: got %d values, want %d", len(got), written)
 	}
 }
 

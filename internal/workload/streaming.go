@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"dpn/internal/core"
-	"dpn/internal/token"
 )
 
 // The streaming-analytics pipeline: generator → shard-by-key →
@@ -94,7 +93,7 @@ func (g *KeyedGen) Step(env *core.Env) error {
 	if rem := g.Records - g.i; batch > rem {
 		batch = rem
 	}
-	w := token.NewWriter(g.Out)
+	w := g.Out.Tokens()
 	if g.Float {
 		g.fbuf = g.fbuf[:0]
 		for j := int64(0); j < batch; j++ {
@@ -147,7 +146,7 @@ func (s *ShardByKey) Step(env *core.Env) error {
 		if cap(s.fbuf) < chunk {
 			s.fbuf = make([]float64, chunk)
 		}
-		n, err := token.NewReader(s.In).ReadFloat64s(s.fbuf[:chunk])
+		n, err := s.In.Tokens().ReadFloat64s(s.fbuf[:chunk])
 		if err != nil {
 			return err
 		}
@@ -168,7 +167,7 @@ func (s *ShardByKey) Step(env *core.Env) error {
 		if cap(s.ibuf) < chunk {
 			s.ibuf = make([]int64, chunk)
 		}
-		n, err := token.NewReader(s.In).ReadInt64s(s.ibuf[:chunk])
+		n, err := s.In.Tokens().ReadInt64s(s.ibuf[:chunk])
 		if err != nil {
 			return err
 		}
@@ -189,7 +188,7 @@ func (s *ShardByKey) Step(env *core.Env) error {
 		if len(st) == 0 {
 			continue
 		}
-		if err := token.NewWriter(s.Outs[sh]).WriteInt64s(st); err != nil {
+		if err := s.Outs[sh].Tokens().WriteInt64s(st); err != nil {
 			return err
 		}
 		s.stage[sh] = s.stage[sh][:0]
@@ -225,7 +224,7 @@ func (r *WindowReduce) Step(env *core.Env) error {
 	if cap(r.buf) < chunk {
 		r.buf = make([]int64, chunk)
 	}
-	n, err := token.NewReader(r.In).ReadInt64s(r.buf[:chunk])
+	n, err := r.In.Tokens().ReadInt64s(r.buf[:chunk])
 	if err != nil {
 		if err == io.EOF {
 			return r.flush()
@@ -234,9 +233,9 @@ func (r *WindowReduce) Step(env *core.Env) error {
 	}
 	r.carry = append(r.carry, r.buf[:n]...)
 	r.stage = r.stage[:0]
-	for len(r.carry) >= 3 {
-		idx, key, val := r.carry[0], r.carry[1], r.carry[2]
-		r.carry = r.carry[3:]
+	i := 0
+	for ; i+3 <= len(r.carry); i += 3 {
+		idx, key, val := r.carry[i], r.carry[i+1], r.carry[i+2]
 		r.counts[key]++
 		if r.Float {
 			r.fsums[key] += math.Float64frombits(uint64(val))
@@ -247,11 +246,10 @@ func (r *WindowReduce) Step(env *core.Env) error {
 			r.stage = append(r.stage, idx, key, r.take(key))
 		}
 	}
-	if len(r.carry) == 0 {
-		r.carry = nil
-	}
+	// Keep the split triple's head, reusing the buffer across steps.
+	r.carry = r.carry[:copy(r.carry, r.carry[i:])]
 	if len(r.stage) > 0 {
-		return token.NewWriter(r.Out).WriteInt64s(r.stage)
+		return r.Out.Tokens().WriteInt64s(r.stage)
 	}
 	return nil
 }
@@ -284,7 +282,7 @@ func (r *WindowReduce) flush() error {
 		out = append(out, flushTag, k, r.take(k))
 	}
 	if len(out) > 0 {
-		if err := token.NewWriter(r.Out).WriteInt64s(out); err != nil {
+		if err := r.Out.Tokens().WriteInt64s(out); err != nil {
 			return err
 		}
 	}
@@ -329,7 +327,7 @@ func (m *MergeByTag) Step(env *core.Env) error {
 		return io.EOF
 	}
 	h := m.heads[best]
-	if err := token.NewWriter(m.Out).WriteInt64s(h[:]); err != nil {
+	if err := m.Out.Tokens().WriteInt64s(h[:]); err != nil {
 		return err
 	}
 	return m.reload(best)
@@ -344,7 +342,7 @@ func less(a, b [3]int64) bool {
 
 // reload pulls the next head triple from input i; EOF retires it.
 func (m *MergeByTag) reload(i int) error {
-	rd := token.NewReader(m.Ins[i])
+	rd := m.Ins[i].Tokens()
 	v, err := rd.ReadInt64()
 	if err != nil {
 		if err == io.EOF {

@@ -141,3 +141,30 @@ func TestScenarioLoopbackStats(t *testing.T) {
 		t.Fatalf("token count %d below collected elements %d", st.Tokens, len(got))
 	}
 }
+
+// TestStreamAllocPerRecord pins the element path's allocation rate
+// end to end: the gate-scale stream-int64 graph on one network must
+// allocate under 2 KiB per generated record, channel buffers and
+// setup included. A codec that reserved its full staging cap per Step
+// would show here as about 20 KiB a record.
+func TestStreamAllocPerRecord(t *testing.T) {
+	seed := workloadSeed(t, 11)
+	sc := Catalog(seed)[0]
+	const records = 1200 // Catalog's stream-int64 spec
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := Run(sc, seed, Loopback, RunOptions{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := equal(got, sc.Oracle(seed)); err != nil {
+		t.Fatal(err)
+	}
+	perRecord := float64(after.TotalAlloc-before.TotalAlloc) / records
+	t.Logf("%.0f B allocated per record", perRecord)
+	if perRecord >= 2048 {
+		t.Fatalf("stream-int64 allocates %.0f B per record, want < 2 KiB", perRecord)
+	}
+}

@@ -49,8 +49,9 @@
 #                    machine that wrote it).
 #   check.sh -lint   static-analysis gate: go vet, staticcheck when the
 #                    binary is on PATH (skipped with a notice otherwise
-#                    — nothing is downloaded), and a style check that
-#                    the conduit package's API surface never says
+#                    — nothing is downloaded), gofmt -l over every Go
+#                    source directory, and a style check that the
+#                    conduit package's API surface never says
 #                    interface{} (spell it any).
 #   check.sh -scenarios
 #                    workload-scenario gate: the seeded scenario suite
@@ -234,6 +235,13 @@ if [ "${1:-}" = "-lint" ]; then
 		staticcheck ./... || fail=1
 	else
 		echo "lint gate: staticcheck not installed; skipping (install it locally to enable)"
+	fi
+	echo "lint gate: gofmt -l"
+	unformatted=$(gofmt -l ./*.go cmd examples internal perfbench)
+	if [ -n "$unformatted" ]; then
+		echo "$unformatted"
+		echo "lint gate: files above are not gofmt-clean (run gofmt -w)"
+		fail=1
 	fi
 	# The conduit layer is the one data-plane API every package builds
 	# on; keep its surface on the modern spelling.
