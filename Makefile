@@ -1,4 +1,4 @@
-.PHONY: build test check chaos vet lint bench pool bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 obs scenarios codec wal mux
+.PHONY: build test check chaos vet lint bench pool bench-pr4 bench-pr6 bench-pr7 bench-pr8 bench-pr9 obs scenarios codec wal mux
 
 build:
 	go build ./...
@@ -102,14 +102,6 @@ bench-pr9:
 # Part of `make check`.
 mux:
 	./scripts/check.sh -mux
-
-# Re-records the session-multiplexing trajectory (BENCH_pr10.json): mux
-# vs direct link throughput, sockets per peer pair, and handshake
-# amortization; fails unless the mux link stays within 1.15x of direct
-# TCP and a 16-channel fan-out rode exactly one session; see
-# EXPERIMENTS.md, "Session multiplexing trajectory".
-bench-pr10:
-	./scripts/bench.sh -pr10
 
 # Observability gate alone: the tracing/telemetry suites under -race
 # (including the multi-process metrics/dpntop/trace-merge smoke), then

@@ -57,9 +57,10 @@ type Rearmer interface {
 }
 
 // Transport binds one end of a conduit to a peer. Implementations:
-// TCP (netio broker links; fault injection, resilience and compression
-// are options set on its broker), Mux (TCP with session multiplexing
-// enabled), and Loopback (in-process pump for tests). The in-proc
+// TCP (netio broker links, each a virtual stream over the broker's one
+// mux session per peer; fault injection, resilience and compression
+// are options set on its broker), Mux (TCP with the session's cluster
+// key set), and Loopback (in-process pump for tests). The in-proc
 // zero-copy plane needs no Transport at all — an unbound conduit's
 // entry and exit operate directly on the bounded buffer.
 type Transport interface {
@@ -75,7 +76,8 @@ type Transport interface {
 }
 
 // TCP is the production transport: framed broker-rendezvous links with
-// credit flow control and optional resilience (see netio).
+// credit flow control and optional resilience (see netio), carried as
+// virtual streams over one authenticated session per peer pair.
 type TCP struct {
 	Broker *netio.Broker
 }
@@ -137,22 +139,17 @@ func (l tcpLink) OnRearm(fn func(Link)) {
 	l.h.SetRearmHook(func(nh *netio.Handle) { fn(tcpLink{nh}) })
 }
 
-// Mux is the TCP transport with session multiplexing enabled on the
-// broker: every link between this node and a given peer tunnels as a
-// virtual stream over one long-lived, authenticated connection instead
-// of a dedicated socket per channel. The link protocol — and with it
-// resilience, RESUME resync, block compression, and durable WAL
-// journaling — rides each stream unchanged, so Mux composes with
-// Durable and with fault injection exactly as TCP does.
+// Mux is the TCP transport on a broker whose session cluster key has
+// been set by NewMux. It carries links exactly as TCP does — every
+// broker link rides a mux session — so it composes with Durable and
+// with fault injection the same way.
 type Mux struct {
 	TCP
 }
 
-// NewMux enables session multiplexing on b with the given cluster
-// pre-shared key (nil skips peer authentication) and returns the
-// transport. Enable mux on every broker of the graph: a mux dialer
-// needs a mux-aware acceptor, though a mux acceptor still admits
-// legacy per-channel dialers.
+// NewMux sets the cluster pre-shared key of b's sessions (nil skips
+// peer authentication) and returns the transport. Every broker of the
+// cluster must hold the same key.
 func NewMux(b *netio.Broker, psk []byte) Mux {
 	b.EnableMux(psk)
 	return Mux{TCP: TCP{Broker: b}}

@@ -3,7 +3,6 @@ package netio
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -41,12 +40,14 @@ type waiter struct {
 	cancel func(error)
 }
 
-// Broker is a node's single network endpoint. All channel connections
-// of all distributed graphs hosted by the node arrive at the broker's
-// listener and are matched to waiting channel ends by rendezvous token
-// (the Go analog of the automatic connection establishment of §4.2:
-// where Java Object Serialization hooks create listening sockets per
-// stream, the broker multiplexes every rendezvous through one address).
+// Broker is a node's single network endpoint. Every link of every
+// distributed graph hosted by the node is a virtual stream over one
+// authenticated mux session per peer broker (muxpool.go); streams
+// arriving on those sessions are matched to waiting channel ends by
+// rendezvous token (the Go analog of the automatic connection
+// establishment of §4.2: where Java Object Serialization hooks create
+// listening sockets per stream, the broker routes every rendezvous
+// through one address and one connection per peer).
 type Broker struct {
 	ln   net.Listener
 	addr string
@@ -54,7 +55,6 @@ type Broker struct {
 	mu         sync.Mutex
 	waiting    map[string]waiter
 	pending    map[string]pendingConn
-	links      map[*Handle]struct{}
 	pendingTTL time.Duration
 	closed     bool
 	// closedCh is closed by Close so long sleeps (reconnect backoff)
@@ -67,7 +67,7 @@ type Broker struct {
 	ins atomic.Pointer[brokerInstruments]
 
 	// flt is the active fault injector (nil injector = no faults); res
-	// is the link resilience configuration (nil = legacy fail-fast
+	// is the link resilience configuration (nil = fail-fast
 	// links). Both are swapped whole and read per connection.
 	flt atomic.Pointer[faults.Injector]
 	res atomic.Pointer[Resilience]
@@ -83,10 +83,10 @@ type Broker struct {
 	// (every inbound side always accepts both DATA kinds).
 	cmpOff atomic.Bool
 
-	// muxSt enables session multiplexing (nil = legacy one-conn-per-
-	// channel); the pool below keys live sessions by peer broker
-	// address. See muxpool.go.
-	muxSt           atomic.Pointer[muxState]
+	// psk is the cluster pre-shared key the session handshake proves
+	// (nil: any peer speaking the protocol); the pool below keys live
+	// sessions by peer broker address. See muxpool.go.
+	psk             atomic.Pointer[[]byte]
 	muxMu           sync.Mutex
 	muxSess         map[string]*muxEntry
 	muxAll          map[*mux.Session]struct{}
@@ -114,7 +114,6 @@ func NewBroker(listenAddr string) (*Broker, error) {
 		addr:       ln.Addr().String(),
 		waiting:    make(map[string]waiter),
 		pending:    make(map[string]pendingConn),
-		links:      make(map[*Handle]struct{}),
 		muxSess:    make(map[string]*muxEntry),
 		muxAll:     make(map[*mux.Session]struct{}),
 		pendingTTL: rendezvousTimeout,
@@ -262,6 +261,16 @@ func (b *Broker) Close() error {
 	return err
 }
 
+// isClosed reports whether Close has begun.
+func (b *Broker) isClosed() bool {
+	select {
+	case <-b.closedCh:
+		return true
+	default:
+		return false
+	}
+}
+
 func (b *Broker) acceptLoop() {
 	defer close(b.acceptDone)
 	for {
@@ -273,34 +282,29 @@ func (b *Broker) acceptLoop() {
 	}
 }
 
-// handleConn routes one inbound connection. With mux enabled the first
-// byte dispatches: mux.Magic starts a session handshake, anything else
-// is the opening byte of a legacy per-channel HELLO, replayed ahead of
-// the conn so mixed fleets (mux and legacy dialers) coexist on one
-// listener.
+// handleConn runs the accept half of the session handshake on one
+// inbound connection, bounded by the handshake timeout (a connection
+// that does not open with mux.Magic fails it and is closed), then
+// serves the session's streams and pools it under the peer's announced
+// address so outbound links reuse it symmetrically.
 func (b *Broker) handleConn(conn net.Conn) {
-	if b.MuxEnabled() {
-		conn.SetReadDeadline(time.Now().Add(handshakeTimeout()))
-		var first [1]byte
-		if _, err := io.ReadFull(conn, first[:]); err != nil {
-			conn.Close()
-			return
+	conn.SetDeadline(time.Now().Add(handshakeTimeout()))
+	sess, err := mux.Accept(conn, b.muxConfig())
+	if err != nil {
+		if errors.Is(err, mux.ErrAuthFailed) {
+			b.ins.Load().muxAuthFail.Inc()
 		}
-		if first[0] == mux.Magic {
-			b.handleMuxConn(conn)
-			return
-		}
-		conn = &prefixConn{Conn: conn, prefix: first[:]}
+		return
 	}
-	b.handleChannelConn(conn)
+	b.trackSession(sess, "accept")
+	b.adoptSession(sess)
+	b.serveMuxSession(sess)
 }
 
-// handleChannelConn reads the HELLO frame and delivers the connection
-// to the channel end waiting for its token, or parks it until that end
-// registers (a dial can win the race against the registration that a
-// redirect triggers on a third node). conn is a dedicated TCP
-// connection on the legacy path, a mux virtual stream otherwise — the
-// rendezvous protocol is identical.
+// handleChannelConn reads the HELLO frame off one inbound stream and
+// delivers the stream to the channel end waiting for its token, or
+// parks it until that end registers (a dial can win the race against
+// the registration that a redirect triggers on a third node).
 func (b *Broker) handleChannelConn(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout()))
 	f, err := readFrame(conn)
@@ -425,30 +429,18 @@ func (b *Broker) expectWithin(token string, d time.Duration) (net.Conn, string, 
 	}
 }
 
-// dial opens a connection to a peer broker and sends the HELLO frame.
-// With mux enabled the "connection" is a virtual stream over the
-// pooled per-peer session (the injector already wraps the session's
-// conn, so the stream is not wrapped again); otherwise it is a
-// dedicated TCP connection. The HELLO write is deadline-bounded so a
-// black-holed peer cannot block link setup indefinitely.
+// dial opens a virtual stream to a peer broker over the pooled
+// per-peer session and sends the HELLO frame. The fault injector
+// already wraps the session's conn, so the stream is not wrapped again.
+// The HELLO write is deadline-bounded so a black-holed peer cannot
+// block link setup indefinitely.
 func (b *Broker) dial(addr, token string) (net.Conn, error) {
-	inj := b.injector()
-	if err := inj.DialError(); err != nil {
+	if err := b.injector().DialError(); err != nil {
 		return nil, err
 	}
-	var conn net.Conn
-	if b.MuxEnabled() {
-		st, err := b.muxStream(addr)
-		if err != nil {
-			return nil, err
-		}
-		conn = st
-	} else {
-		raw, err := net.DialTimeout("tcp", addr, handshakeTimeout())
-		if err != nil {
-			return nil, err
-		}
-		conn = inj.Conn(raw)
+	conn, err := b.muxStream(addr)
+	if err != nil {
+		return nil, err
 	}
 	helloTimeout := handshakeTimeout()
 	if res := b.resilience(); res != nil && res.MissDeadline > 0 {
@@ -464,10 +456,10 @@ func (b *Broker) dial(addr, token string) (net.Conn, error) {
 	return conn, nil
 }
 
-// handshakeTimeoutNs bounds both sides of the HELLO exchange: the
-// accept path's read of the frame and the dial path's TCP connect and
-// write. Without it a silent or black-holed peer would pin a goroutine
-// (and its connection) forever. Atomic so tests can compress it while
+// handshakeTimeoutNs bounds both sides of connection setup: the
+// session handshake (TCP connect included) and the HELLO exchange on
+// each stream. Without it a silent or black-holed peer would pin a
+// goroutine (and its connection or stream) forever. Atomic so tests can compress it while
 // brokers from earlier tests still hold live accept goroutines.
 var handshakeTimeoutNs atomic.Int64
 
@@ -486,9 +478,8 @@ func (b *Broker) NewToken() string {
 	return fmt.Sprintf("%s/%d", b.addr, tokenSeq.Add(1))
 }
 
-// halfCloseWrite closes the write side of a TCP connection if
-// supported, flushing buffered data to the peer, and otherwise fully
-// closes it.
+// halfCloseWrite closes the write side of a link's connection (a mux
+// stream sends FIN) if supported, and otherwise fully closes it.
 func halfCloseWrite(conn net.Conn) {
 	type writeCloser interface{ CloseWrite() error }
 	if wc, ok := conn.(writeCloser); ok {

@@ -490,10 +490,8 @@ func (b *Broker) reconnect(res *Resilience, rng *rand.Rand, serve bool, addr, to
 		if !time.Now().Before(deadline) {
 			return nil, ErrLinkDeadline
 		}
-		select {
-		case <-b.closedCh:
+		if b.isClosed() {
 			return nil, ErrBrokerClosed
-		default:
 		}
 		conn, err := b.dial(addr, token)
 		if err == nil {
@@ -641,6 +639,12 @@ func (l *lifecycle) run(h *Handle, half linkHalf, conn net.Conn) {
 		case moved:
 			conn, outage, healing = nil, time.Now(), false
 		case err == nil:
+			return
+		case h.b.isClosed():
+			// Close ended the session under the link: a local
+			// teardown, not a wire fault.
+			conn.Close()
+			half.degrade(ErrBrokerClosed)
 			return
 		case l.res == nil:
 			conn.Close()

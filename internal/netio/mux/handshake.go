@@ -42,9 +42,8 @@ import (
 // connection without client certificates); production clusters set a
 // PSK on every broker or on none.
 
-// Magic is the first byte of a mux session handshake. It is disjoint
-// from every legacy frame kind, so a broker can tell a mux session
-// from a per-channel HELLO connection by its first byte.
+// Magic is the first byte of a mux session handshake. Accept reads it
+// itself and rejects a connection that opens with anything else.
 const Magic = 'X'
 
 // version is the mux protocol version byte.
@@ -184,11 +183,19 @@ func dialHandshake(conn net.Conn, psk []byte, localAddr string, window uint32) (
 	return res, nil
 }
 
-// acceptHandshake runs the serving half of the session handshake. The
-// caller has already consumed the Magic byte (that is how it routed the
-// connection here).
+// acceptHandshake runs the serving half of the session handshake,
+// starting with the dialer's Magic byte.
 func acceptHandshake(conn net.Conn, psk []byte, localAddr string, window uint32) (handshakeResult, error) {
 	var res handshakeResult
+	// Magic alone first, so a stray protocol is turned away at once
+	// rather than after waiting for a full handshake's worth of bytes.
+	var magic [1]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil {
+		return res, err
+	}
+	if magic[0] != Magic {
+		return res, fmt.Errorf("mux: connection opened with byte %#x, not a session handshake", magic[0])
+	}
 	var fixed [1 + 32]byte // version + dialer ephemeral pub
 	if _, err := io.ReadFull(conn, fixed[:]); err != nil {
 		return res, err

@@ -1,9 +1,9 @@
 // Package mux multiplexes many virtual streams over one long-lived,
 // authenticated connection per peer pair.
 //
-// The broker's legacy transport opens one TCP connection per channel
-// rendezvous; at production scale (thousands of channels between two
-// hosts) that is file-descriptor and handshake blowup. A mux Session
+// It is the broker's only network path. One TCP connection per channel
+// rendezvous would cost a file descriptor and a handshake per channel
+// (thousands between two hosts at production scale); a mux Session
 // runs the X25519 challenge/response handshake once (handshake.go) and
 // then carries any number of conduits as virtual streams, each a full
 // net.Conn: the netio link protocol — HELLO, DATA/DATA-C, ACK, RESUME,
@@ -58,6 +58,10 @@ const (
 	defaultWriteTimeout = 2 * time.Minute
 	defaultKeepAlive    = 15 * time.Second
 	acceptBacklog       = 128
+
+	// goGrace bounds Close's best-effort GO write, so a peer that
+	// stopped draining cannot hold Close for a whole WriteTimeout.
+	goGrace = time.Second
 )
 
 // Frame kinds.
@@ -86,8 +90,17 @@ var (
 	// aborted the stream with a RST frame.
 	ErrStreamReset = errors.New("mux: stream reset by peer")
 
-	errKeepAlive = errors.New("mux: session keepalive timeout")
+	errKeepAlive error = keepAliveError{}
 )
+
+// keepAliveError is the death of a session whose peer went silent. It
+// is a net.Error timeout, like a missed read deadline, so the streams
+// it aborts fail the way a silent socket would.
+type keepAliveError struct{}
+
+func (keepAliveError) Error() string   { return "mux: session keepalive timeout" }
+func (keepAliveError) Timeout() bool   { return true }
+func (keepAliveError) Temporary() bool { return true }
 
 // Hooks are optional instrumentation callbacks; the broker points them
 // at its metrics bundle. Nil fields are skipped.
@@ -206,9 +219,10 @@ func Dial(conn net.Conn, cfg Config) (*Session, error) {
 	return newSession(conn, cfg, res, true), nil
 }
 
-// Accept runs the serving half of the handshake on conn — whose Magic
-// byte the caller has already consumed to route it here — and returns
-// the live session. On handshake failure the conn is closed.
+// Accept runs the serving half of the handshake on conn, starting with
+// the dialer's Magic byte, and returns the live session. On handshake
+// failure (a conn that does not open with Magic included) the conn is
+// closed.
 func Accept(conn net.Conn, cfg Config) (*Session, error) {
 	res, err := acceptHandshake(conn, cfg.PSK, cfg.Addr, uint32(cfg.window()))
 	if err != nil {
@@ -295,7 +309,7 @@ func (s *Session) OpenStream() (*Stream, error) {
 	st := newStream(s, id)
 	s.streams[id] = st
 	s.mu.Unlock()
-	err := s.writeLocked(kindSYN, id, nil)
+	err := s.writeLocked(kindSYN, id, nil, s.cfg.writeTimeout())
 	s.wmu.Unlock()
 	if err != nil {
 		s.removeStream(st)
@@ -322,15 +336,18 @@ func (s *Session) AcceptStream() (*Stream, error) {
 
 // Close tears the session down deliberately: a best-effort GO frame
 // tells the peer, every stream fails with ErrSessionClosed, and the
-// connection closes. Close returns once the teardown is complete, even
-// when the read loop, woken by the closing conn, is the one doing it.
+// connection closes. Close never waits behind a stalled frame write:
+// if one holds the wire, the GO is skipped and closing the conn
+// unblocks the writer. Close returns once the teardown is complete,
+// even when the read loop, woken by the closing conn, is the one
+// doing it.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	first := !s.closed && !s.closing
 	s.closing = true
 	s.mu.Unlock()
 	if first {
-		s.writeFrame(kindGO, 0, nil) // best effort; fail handles a dead conn
+		s.tryControl(kindGO, min(s.cfg.writeTimeout(), goGrace))
 		s.fail(ErrSessionClosed)
 	}
 	<-s.done
@@ -383,11 +400,23 @@ func (s *Session) removeStream(st *Stream) {
 func (s *Session) writeFrame(kind byte, id uint32, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.writeLocked(kind, id, payload)
+	return s.writeLocked(kind, id, payload, s.cfg.writeTimeout())
 }
 
-// writeLocked is writeFrame for a caller that holds wmu.
-func (s *Session) writeLocked(kind byte, id uint32, payload []byte) error {
+// tryControl writes a payload-free session frame (PING, GO) only if the
+// wire is free, bounded by timeout. A held write lock means a frame is
+// already in flight — or stalled, in which case WriteTimeout or fail
+// ends it — so liveness and teardown never queue behind it.
+func (s *Session) tryControl(kind byte, timeout time.Duration) {
+	if s.wmu.TryLock() {
+		s.writeLocked(kind, 0, nil, timeout)
+		s.wmu.Unlock()
+	}
+}
+
+// writeLocked is writeFrame for a caller that holds wmu; the conn write
+// is bounded by timeout.
+func (s *Session) writeLocked(kind byte, id uint32, payload []byte, timeout time.Duration) error {
 	if s.werr != nil {
 		return s.werr
 	}
@@ -400,15 +429,20 @@ func (s *Session) writeLocked(kind byte, id uint32, payload []byte) error {
 	binary.BigEndian.PutUint32(b[1:5], id)
 	binary.BigEndian.PutUint32(b[5:9], uint32(len(payload)))
 	copy(b[muxHdrLen:], payload)
-	s.conn.SetWriteDeadline(time.Now().Add(s.cfg.writeTimeout()))
+	s.conn.SetWriteDeadline(time.Now().Add(timeout))
 	if _, err := s.conn.Write(b); err != nil {
-		s.werr = err
+		// Report why the session died, not the closed conn a
+		// concurrent fail (a keepalive timeout, Close) left behind.
 		s.fail(err)
-		return err
+		s.werr = s.Err()
+		return s.werr
 	}
 	return nil
 }
 
+// keepalive declares the session dead after 3 silent intervals. The
+// PING goes out on its own goroutine, so a PING stuck on a stalled conn
+// never delays the idle check.
 func (s *Session) keepalive(interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -422,7 +456,7 @@ func (s *Session) keepalive(interval time.Duration) {
 				s.fail(errKeepAlive)
 				return
 			}
-			s.writeFrame(kindPING, 0, nil)
+			go s.tryControl(kindPING, s.cfg.writeTimeout())
 		}
 	}
 }

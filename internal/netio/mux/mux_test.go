@@ -13,8 +13,7 @@ import (
 )
 
 // sessionPair builds a dialer/acceptor session pair over a real TCP
-// connection, with the Magic byte consumed on the accept side the way
-// the broker's accept loop does it.
+// connection.
 func sessionPair(t *testing.T, dialCfg, acceptCfg Config) (*Session, *Session) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,15 +31,6 @@ func sessionPair(t *testing.T, dialCfg, acceptCfg Config) (*Session, *Session) {
 		conn, err := ln.Accept()
 		if err != nil {
 			ch <- accepted{nil, err}
-			return
-		}
-		var magic [1]byte
-		if _, err := io.ReadFull(conn, magic[:]); err != nil {
-			ch <- accepted{nil, err}
-			return
-		}
-		if magic[0] != Magic {
-			ch <- accepted{nil, fmt.Errorf("first byte %q, want Magic", magic[0])}
 			return
 		}
 		sess, err := Accept(conn, acceptCfg)
@@ -137,11 +127,6 @@ func TestAuthFailure(t *testing.T) {
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
-			srvErr <- err
-			return
-		}
-		var magic [1]byte
-		if _, err := io.ReadFull(conn, magic[:]); err != nil {
 			srvErr <- err
 			return
 		}
@@ -435,8 +420,6 @@ func TestKeepAliveDetectsSilentPeer(t *testing.T) {
 		if err != nil {
 			return
 		}
-		var magic [1]byte
-		io.ReadFull(conn, magic[:])
 		acceptHandshake(conn, nil, "blackhole:1", DefaultWindow)
 		// Keep the conn open but silent; drain to avoid TCP pushback.
 		io.Copy(io.Discard, conn)
@@ -459,4 +442,109 @@ func TestKeepAliveDetectsSilentPeer(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("keepalive never declared the silent peer dead")
 	}
+}
+
+// stalledSession dials a session whose peer completes the handshake and
+// then never reads or writes again, and parks a stream Write on the
+// stalled conn: small socket buffers fill at once, so the writer holds
+// the session write lock inside conn.Write, as it would behind a stall
+// partition. The 2-minute default WriteTimeout stays in force, so
+// nothing but the session's own liveness logic can end the stall.
+func stalledSession(t *testing.T, cfg Config) (sess *Session, writeDone <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			peer <- nil
+			return
+		}
+		conn.(*net.TCPConn).SetReadBuffer(4096)
+		// A huge window: the writer never waits on credit, only on the
+		// wire.
+		if _, err := acceptHandshake(conn, nil, "stalled:1", 1<<30); err != nil {
+			conn.Close()
+			conn = nil
+		}
+		peer <- conn
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).SetWriteBuffer(4096)
+	sess, err = Dial(conn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := <-peer
+	if pc == nil {
+		t.Fatal("peer handshake failed")
+	}
+	t.Cleanup(func() { pc.Close() })
+	st, err := sess.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.Write(make([]byte, 8<<20))
+		done <- err
+	}()
+	return sess, done
+}
+
+// TestStalledConnBoundsCloseAndKeepAlive pins the session's liveness
+// on a stalled conn: neither Close nor the keepalive may wait behind a
+// frame write stuck on the session write lock. Close must return, and
+// a silent peer must be declared dead after its keepalive intervals,
+// each within a bound far below WriteTimeout — and either way the
+// stuck writer is released.
+func TestStalledConnBoundsCloseAndKeepAlive(t *testing.T) {
+	const bound = 3 * time.Second
+	released := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s: the stalled write succeeded", what)
+			}
+		case <-time.After(bound):
+			t.Fatalf("%s: the stalled writer was never released", what)
+		}
+	}
+
+	sess, done := stalledSession(t, Config{KeepAlive: -1})
+	select {
+	case err := <-done:
+		t.Fatalf("8 MiB write to a peer that never reads returned: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	closed := make(chan struct{})
+	go func() {
+		sess.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(bound):
+		t.Fatal("Close waited behind a stalled frame write")
+	}
+	released("Close", done)
+
+	sess, done = stalledSession(t, Config{KeepAlive: 25 * time.Millisecond})
+	select {
+	case <-sess.Done():
+		if err := sess.Err(); !errors.Is(err, errKeepAlive) {
+			t.Fatalf("session died with %v, want keepalive timeout", err)
+		}
+	case <-time.After(bound):
+		t.Fatal("keepalive never declared the stalled session dead")
+	}
+	released("keepalive", done)
 }

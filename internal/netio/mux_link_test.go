@@ -171,38 +171,6 @@ func TestMuxAuthMismatchFailsDial(t *testing.T) {
 	}
 }
 
-func TestMuxAcceptsLegacyDialer(t *testing.T) {
-	// A mux-enabled broker still accepts a legacy per-channel dialer:
-	// the first byte is a HELLO frame kind, not mux.Magic, and is
-	// replayed into the legacy path. Mixed fleets can upgrade node by
-	// node.
-	a := newMuxBroker(t, nil)
-	b := newTestBroker(t) // legacy
-
-	src := stream.NewPipe(1 << 14)
-	dst := stream.NewPipe(1 << 14)
-	tok := a.NewToken()
-	if _, err := a.ServeOutbound(tok, src.ReadEnd(), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.DialInbound(a.Addr(), tok, dst.WriteEnd()); err != nil {
-		t.Fatal(err)
-	}
-	payload := payloadPattern(100_000)
-	go func() {
-		src.Write(payload)
-		src.CloseWrite()
-	}()
-	got, err := io.ReadAll(dst.ReadEnd())
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("legacy dialer against mux broker: got %d bytes (err %v), want %d",
-			len(got), err, len(payload))
-	}
-	if a.MuxSessions() != 0 {
-		t.Fatalf("legacy connection created %d mux sessions", a.MuxSessions())
-	}
-}
-
 func TestMuxBrokerCloseReleasesSessions(t *testing.T) {
 	a := newMuxBroker(t, nil)
 	b := newMuxBroker(t, nil)
@@ -229,5 +197,46 @@ func TestMuxBrokerCloseReleasesSessions(t *testing.T) {
 			t.Fatalf("sessions lingering after Close: a=%d b=%d", a.MuxSessions(), b.MuxSessions())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestBrokerCloseFinishesActiveLinks: closing a broker must end every
+// link it carries, not only the rendezvous still pending. An idle,
+// established link has no traffic and no heartbeat to notice a dead
+// peer, so only the broker's own teardown — closing the session the
+// link's stream rides — can finish it; otherwise its handle (and any
+// watcher waiting on it) outlives both brokers. The closed broker's own
+// link ends with ErrBrokerClosed, a local teardown rather than a wire
+// fault.
+func TestBrokerCloseFinishesActiveLinks(t *testing.T) {
+	a := newTestBroker(t)
+	b := newTestBroker(t)
+	src := stream.NewPipe(64)
+	dst := stream.NewPipe(64)
+	tok := a.NewToken()
+	hOut, err := a.ServeOutbound(tok, src.ReadEnd(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hIn, err := b.DialInbound(a.Addr(), tok, dst.WriteEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hIn.WaitReady(); err != nil {
+		t.Fatal(err)
+	}
+	if err := hOut.WaitReady(); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	for name, h := range map[string]*Handle{"outbound": hOut, "inbound": hIn} {
+		select {
+		case <-h.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s link still running after its broker closed", name)
+		}
+	}
+	if err := hIn.Wait(); !errors.Is(err, ErrBrokerClosed) {
+		t.Fatalf("closed broker's link ended with %v, want ErrBrokerClosed", err)
 	}
 }

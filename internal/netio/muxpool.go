@@ -10,14 +10,15 @@ import (
 
 // This file is the broker's mux session pool: one authenticated,
 // long-lived connection per peer pair, carrying every channel link
-// between the pair as a virtual stream.
+// between the pair as a virtual stream. It is the broker's only network
+// path.
 //
 // The layering is deliberately transparent. A mux stream is a full
-// net.Conn, so the existing link protocol — HELLO rendezvous, DATA/
-// DATA-C, ACK credit, RESUME resync, BEAT, TRACE, BYE, REDIRECT —
-// tunnels through it unchanged: dial() opens a stream instead of a TCP
-// connection and writes the same HELLO; the accept path peels streams
-// off inbound sessions and feeds them to the same rendezvous matcher.
+// net.Conn, so the link protocol — HELLO rendezvous, DATA/DATA-C, ACK
+// credit, RESUME resync, BEAT, TRACE, BYE, REDIRECT — rides it as it
+// would a socket: dial() opens a stream and writes the HELLO; the
+// accept path peels streams off inbound sessions and feeds them to the
+// rendezvous matcher.
 // Resilience composes too: when a session dies, its streams fail like
 // broken conns, resilient links re-dial, the pool builds (or reuses) a
 // fresh session, and the RESUME offset handshake replays whatever the
@@ -31,11 +32,6 @@ import (
 // exactly one TCP socket no matter how many channels run between them,
 // which is the point (§4.2's per-stream server sockets, inverted).
 
-// muxState holds the broker's mux enablement and its cluster PSK.
-type muxState struct {
-	psk []byte
-}
-
 // muxEntry is one pooled session, or one in-flight attempt to build
 // it. ready is closed once sess/err settle, so concurrent dials to the
 // same peer coalesce onto a single handshake.
@@ -45,19 +41,12 @@ type muxEntry struct {
 	err   error
 }
 
-// EnableMux switches this broker to session multiplexing: every future
-// outbound link tunnels through a pooled per-peer session, and inbound
-// mux handshakes (first byte mux.Magic) are accepted alongside legacy
-// per-channel connections. psk is the cluster pre-shared key for the
-// challenge/response peer authentication; nil accepts any peer that
-// speaks the protocol. Enable it on every broker of a graph — a mux
-// dialer needs a mux-aware acceptor.
-func (b *Broker) EnableMux(psk []byte) {
-	b.muxSt.Store(&muxState{psk: psk})
-}
-
-// MuxEnabled reports whether this broker multiplexes links.
-func (b *Broker) MuxEnabled() bool { return b.muxSt.Load() != nil }
+// EnableMux sets the cluster pre-shared key that the challenge/
+// response session handshake proves, for sessions built after the
+// call; nil (the default) accepts any peer that speaks the protocol.
+// Every broker of a cluster must hold the same key. Sessions are the
+// only network path, so this sets no mode — only the key.
+func (b *Broker) EnableMux(psk []byte) { b.psk.Store(&psk) }
 
 // MuxSessions reports the number of live mux sessions this broker
 // holds (the dpn_mux_sessions_live gauge).
@@ -67,16 +56,16 @@ func (b *Broker) MuxSessions() int64 { return b.muxLiveSessions.Load() }
 // sessions (the dpn_mux_streams_live gauge).
 func (b *Broker) MuxStreams() int64 { return b.muxLiveStreams.Load() }
 
-// muxConfig assembles the session config: the broker's listen address
-// as its announced identity and metric hooks into the active bundle.
+// muxConfig assembles the session config: the broker's PSK, its listen
+// address as its announced identity, and metric hooks into the active
+// bundle. A resilient broker bounds session liveness by its link
+// deadline: a frame write that cannot drain within MissDeadline, or a
+// peer silent for MissDeadline (3 PING intervals), kills the session,
+// so a stalled partition fails its streams in time for the links to
+// degrade within LinkDeadline, while a session the links' heartbeats
+// keep busy is never declared dead sooner than a link would be.
 func (b *Broker) muxConfig() mux.Config {
-	st := b.muxSt.Load()
-	var psk []byte
-	if st != nil {
-		psk = st.psk
-	}
-	return mux.Config{
-		PSK:  psk,
+	cfg := mux.Config{
 		Addr: b.addr,
 		Hooks: mux.Hooks{
 			StreamOpened: func() { b.noteMuxStreams(b.muxLiveStreams.Add(1)) },
@@ -84,6 +73,14 @@ func (b *Broker) muxConfig() mux.Config {
 			CreditStall:  func() { b.ins.Load().muxCreditStalls.Inc() },
 		},
 	}
+	if psk := b.psk.Load(); psk != nil {
+		cfg.PSK = *psk
+	}
+	if res := b.resilience(); res != nil {
+		cfg.WriteTimeout = res.MissDeadline
+		cfg.KeepAlive = res.MissDeadline / 3
+	}
+	return cfg
 }
 
 // muxStream opens one virtual stream toward the peer broker at addr,
@@ -112,10 +109,8 @@ func (b *Broker) muxStream(addr string) (net.Conn, error) {
 // dials, the rest wait on the entry and share the outcome.
 func (b *Broker) muxSession(addr string) (*mux.Session, error) {
 	for {
-		select {
-		case <-b.closedCh:
+		if b.isClosed() {
 			return nil, ErrBrokerClosed
-		default:
 		}
 		b.muxMu.Lock()
 		e, ok := b.muxSess[addr]
@@ -200,23 +195,6 @@ func (b *Broker) dialMuxSession(addr string) (*mux.Session, error) {
 	return sess, nil
 }
 
-// handleMuxConn runs the accept half of the session handshake on an
-// inbound connection whose mux.Magic byte the accept path consumed,
-// then serves its streams and pools it under the peer's announced
-// address so outbound links reuse it symmetrically.
-func (b *Broker) handleMuxConn(conn net.Conn) {
-	sess, err := mux.Accept(conn, b.muxConfig())
-	if err != nil {
-		if errors.Is(err, mux.ErrAuthFailed) {
-			b.ins.Load().muxAuthFail.Inc()
-		}
-		return
-	}
-	b.trackSession(sess, "accept")
-	b.adoptSession(sess)
-	b.serveMuxSession(sess)
-}
-
 // adoptSession offers an accepted session to the pool under the peer's
 // announced address. An existing live entry wins — simultaneous dials
 // from both sides may briefly yield two sessions for a pair, and the
@@ -282,8 +260,8 @@ func (b *Broker) trackSession(sess *mux.Session, role string) {
 	}()
 }
 
-// serveMuxSession feeds every inbound stream of a session to the same
-// rendezvous path a dedicated TCP connection would have taken.
+// serveMuxSession feeds every inbound stream of a session to the
+// rendezvous matcher.
 func (b *Broker) serveMuxSession(sess *mux.Session) {
 	for {
 		st, err := sess.AcceptStream()
@@ -308,31 +286,4 @@ func (b *Broker) closeMuxSessions() {
 	for _, s := range sessions {
 		s.Close()
 	}
-}
-
-// prefixConn replays already-consumed bytes (the accept path's peek at
-// the first byte) ahead of the live connection.
-type prefixConn struct {
-	net.Conn
-	prefix []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
-}
-
-// CloseWrite forwards the half-close capability embedding would hide
-// (the promoted method set of an embedded interface is only the
-// interface's), so halfCloseWrite still finds it on legacy conns.
-func (p *prefixConn) CloseWrite() error {
-	type writeCloser interface{ CloseWrite() error }
-	if wc, ok := p.Conn.(writeCloser); ok {
-		return wc.CloseWrite()
-	}
-	return p.Conn.Close()
 }

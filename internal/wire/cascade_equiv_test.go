@@ -111,13 +111,13 @@ func runInproc(t *testing.T, cc cascadeCase) []int64 {
 }
 
 // runTCP exports the collector before execution: the conduit's sink is
-// rebound to the node's network transport (per-channel tcp, or mux
-// virtual streams when newNode enables multiplexing) and the cascade
+// rebound to the node's network transport (a virtual stream over the
+// authenticated session between the two brokers) and the cascade
 // crosses the wire.
-func runTCP(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) []int64 {
+func runTCP(t *testing.T, cc cascadeCase) []int64 {
 	t.Helper()
-	a := newNode(t)
-	b := newNode(t)
+	a := newMuxWireNode(t)
+	b := newMuxWireNode(t)
 	ch := a.Net.NewChannel("eq", 256)
 	src := newSource(cc, ch.Writer())
 	parcel, err := Export(a, b.Broker.Addr(), newCollector(cc, ch.Reader()))
@@ -136,17 +136,21 @@ func runTCP(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) []int6
 	a.Net.Spawn(src)
 	waitNet(t, a.Net, "producer node")
 	waitNet(t, b.Net, "consumer node")
+	if a.Broker.MuxSessions() != 1 || b.Broker.MuxSessions() != 1 {
+		t.Fatalf("sessions: a=%d b=%d, want 1 and 1", a.Broker.MuxSessions(), b.Broker.MuxSessions())
+	}
 	return col.Vals
 }
 
 // runTCPRebind additionally migrates the running collector B→C once a
 // quarter of the stream has flowed: the reader-side rebind drains the
-// conduit at a fence, ships the leftover, and resumes on a fresh link.
-func runTCPRebind(t *testing.T, cc cascadeCase, newNode func(*testing.T) *Node) []int64 {
+// conduit at a fence, ships the leftover, and resumes on a fresh link
+// (a fresh stream, over a fresh session toward the new host).
+func runTCPRebind(t *testing.T, cc cascadeCase) []int64 {
 	t.Helper()
-	a := newNode(t)
-	b := newNode(t)
-	c := newNode(t)
+	a := newMuxWireNode(t)
+	b := newMuxWireNode(t)
+	c := newMuxWireNode(t)
 	ch := a.Net.NewChannel("eq", 256)
 	src := newSource(cc, ch.Writer())
 	parcel, err := Export(a, b.Broker.Addr(), newCollector(cc, ch.Reader()))
@@ -351,13 +355,19 @@ func TestCascadeEquivalenceCompressedConduits(t *testing.T) {
 		t.Fatalf("in-proc deployment sent %d DATA-C frames", n)
 	}
 
-	// TCP: identical stream, and compression demonstrably engaged.
-	a, b := newTestNode(t), newTestNode(t)
+	// TCP: compressed DATA-C frames tunneled through the authenticated
+	// session yield the identical stream, with exactly one session per
+	// peer pair underneath.
+	a, b := newMuxWireNode(t), newMuxWireNode(t)
 	if got := runBatchTCP(t, a, b); !reflect.DeepEqual(got, want) {
 		t.Fatalf("tcp deployment diverged: %d elements", len(got))
 	}
 	if dataCSent(a) == 0 {
 		t.Fatal("tcp deployment never compressed a frame")
+	}
+	if a.Broker.MuxSessions() != 1 || b.Broker.MuxSessions() != 1 {
+		t.Fatalf("tcp deployment sessions: a=%d b=%d, want 1 and 1",
+			a.Broker.MuxSessions(), b.Broker.MuxSessions())
 	}
 
 	// TCP with compression disabled on the sender: the element stream
@@ -371,39 +381,15 @@ func TestCascadeEquivalenceCompressedConduits(t *testing.T) {
 		t.Fatalf("compression-off sender sent %d DATA-C frames", n)
 	}
 
-	// Mid-stream migration: SealAndDrain with sealed blocks in flight.
-	ma, mb, mc := newTestNode(t), newTestNode(t), newTestNode(t)
+	// Mid-stream migration: SealAndDrain with sealed blocks in flight;
+	// the rebind lands on a fresh stream (and a fresh session toward the
+	// new host).
+	ma, mb, mc := newMuxWireNode(t), newMuxWireNode(t), newMuxWireNode(t)
 	if got := runBatchTCPRebind(t, ma, mb, mc); !reflect.DeepEqual(got, want) {
 		t.Fatalf("mid-stream rebind diverged: %d elements", len(got))
 	}
 	if dataCSent(ma) == 0 {
 		t.Fatal("rebind deployment never compressed a frame")
-	}
-
-	// Mux: compressed DATA-C frames tunneled through a shared session
-	// must yield the identical stream, with exactly one session per
-	// peer pair underneath.
-	xa, xb := newMuxWireNode(t), newMuxWireNode(t)
-	if got := runBatchTCP(t, xa, xb); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mux deployment diverged: %d elements", len(got))
-	}
-	if dataCSent(xa) == 0 {
-		t.Fatal("mux deployment never compressed a frame")
-	}
-	if xa.Broker.MuxSessions() != 1 || xb.Broker.MuxSessions() != 1 {
-		t.Fatalf("mux deployment sessions: a=%d b=%d, want 1 and 1",
-			xa.Broker.MuxSessions(), xb.Broker.MuxSessions())
-	}
-
-	// Mux with a mid-stream migration: the fence drains and the rebind
-	// lands on a fresh virtual stream (and a fresh session toward the
-	// new host) with sealed blocks in flight.
-	ya, yb, yc := newMuxWireNode(t), newMuxWireNode(t), newMuxWireNode(t)
-	if got := runBatchTCPRebind(t, ya, yb, yc); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mux mid-stream rebind diverged: %d elements", len(got))
-	}
-	if dataCSent(ya) == 0 {
-		t.Fatal("mux rebind deployment never compressed a frame")
 	}
 }
 
@@ -456,21 +442,13 @@ func TestCascadeEquivalenceAcrossTransports(t *testing.T) {
 			if len(inproc) != cc.want {
 				t.Fatalf("inproc collected %d elements, want %d", len(inproc), cc.want)
 			}
-			tcp := runTCP(t, cc, newTestNode)
+			tcp := runTCP(t, cc)
 			if !reflect.DeepEqual(tcp, inproc) {
 				t.Fatalf("tcp deployment diverged: %d elements vs %d", len(tcp), len(inproc))
 			}
-			rebound := runTCPRebind(t, cc, newTestNode)
+			rebound := runTCPRebind(t, cc)
 			if !reflect.DeepEqual(rebound, inproc) {
 				t.Fatalf("mid-stream rebind diverged: %d elements vs %d", len(rebound), len(inproc))
-			}
-			muxed := runTCP(t, cc, newMuxWireNode)
-			if !reflect.DeepEqual(muxed, inproc) {
-				t.Fatalf("mux deployment diverged: %d elements vs %d", len(muxed), len(inproc))
-			}
-			muxRebound := runTCPRebind(t, cc, newMuxWireNode)
-			if !reflect.DeepEqual(muxRebound, inproc) {
-				t.Fatalf("mux mid-stream rebind diverged: %d elements vs %d", len(muxRebound), len(inproc))
 			}
 		})
 	}

@@ -2,20 +2,12 @@ package wire
 
 import (
 	"errors"
-	"runtime"
-	"strings"
 	"testing"
 	"time"
 
 	"dpn/internal/conduit"
 	"dpn/internal/proclib"
 )
-
-func watcherCount() int {
-	buf := make([]byte, 1<<20)
-	n := runtime.Stack(buf, true)
-	return strings.Count(string(buf[:n]), "wire.(*Node).watchLink")
-}
 
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -48,7 +40,7 @@ func TestNodeCloseTerminatesLinkWatchers(t *testing.T) {
 	if l == nil {
 		t.Fatal("export did not track a link")
 	}
-	waitFor(t, "watcher start", func() bool { return watcherCount() >= 1 })
+	waitFor(t, "watcher start", func() bool { return n.watching.Load() >= 1 })
 
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
@@ -61,7 +53,7 @@ func TestNodeCloseTerminatesLinkWatchers(t *testing.T) {
 	if err := l.Wait(); !errors.Is(err, conduit.ErrBrokerClosed) {
 		t.Fatalf("link finished with %v, want ErrBrokerClosed", err)
 	}
-	waitFor(t, "watcher exit", func() bool { return watcherCount() == 0 })
+	waitFor(t, "watcher exit", func() bool { return n.watching.Load() == 0 })
 	waitFor(t, "tracker drain", func() bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()

@@ -13,14 +13,13 @@ import (
 	"dpn/internal/token"
 )
 
-// muxTestPSK is the cluster pre-shared key every mux-enabled test node
-// uses, so sessions authenticate exactly as a production cluster's
-// would.
+// muxTestPSK is the cluster pre-shared key every keyed test node uses,
+// so sessions authenticate exactly as a production cluster's would.
 var muxTestPSK = []byte("wire-mux-test")
 
-// newMuxWireNode is newTestNode with session multiplexing enabled: all
-// conduit bindings tunnel as virtual streams over one authenticated
-// session per peer pair.
+// newMuxWireNode is newTestNode with the cluster session key set: its
+// conduit bindings ride virtual streams over one session per peer pair,
+// authenticated by muxTestPSK.
 func newMuxWireNode(t *testing.T) *Node {
 	t.Helper()
 	n := newTestNode(t)
@@ -29,11 +28,11 @@ func newMuxWireNode(t *testing.T) *Node {
 }
 
 // TestRendezvousStormMuxBoundedFDs reruns the rendezvous storm — many
-// client nodes racing to export collectors to one hub — over session
-// multiplexing, and pins down the socket economics that motivate it:
-// while every channel is live, the process holds O(peer pairs) TCP
-// sockets (one session per hub↔client pair plus the listeners), not
-// O(channels) as the per-channel transport does. A gate keeps every
+// client nodes racing to export collectors to one hub — over
+// authenticated sessions, and pins down the socket economics that
+// motivate them: while every channel is live, the process holds
+// O(peer pairs) TCP sockets (one session per hub↔client pair plus the
+// listeners), not O(channels) as a socket per channel would. A gate keeps every
 // writer open at the sampling point, so the channels are provably all
 // bound when the descriptors are counted, and teardown must still
 // return the process to its baseline.
@@ -157,7 +156,7 @@ func TestRendezvousStormMuxBoundedFDs(t *testing.T) {
 	// now, yet the socket count must scale with peer pairs. Both ends of
 	// every session live in this process (2 FDs per pair), each node
 	// holds one listener, and the slack absorbs runtime pollers — far
-	// below the 2·clients·chansEach the per-channel transport needs.
+	// below the 2·clients·chansEach a socket per channel would need.
 	if got := hub.Broker.MuxSessions(); got != clients {
 		close(release)
 		t.Fatalf("hub holds %d mux sessions with %d clients connected, want one per pair", got, clients)

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 
 	"dpn/internal/conduit"
 	"dpn/internal/core"
@@ -69,6 +70,9 @@ type Node struct {
 
 	mu    sync.Mutex
 	links map[*core.Channel]conduit.Link
+
+	// watching counts this node's live watchLink goroutines.
+	watching atomic.Int64
 }
 
 // NewNode creates a node from an existing network and broker. The
@@ -155,21 +159,24 @@ func (n *Node) trackLink(ch *core.Channel, l conduit.Link) {
 	n.mu.Lock()
 	n.links[ch] = l
 	n.mu.Unlock()
+	n.watching.Add(1)
 	go n.watchLink(ch, l)
 }
 
 // watchLink waits for a tracked link to shut down and reports it. A
 // link that ends with an error has exhausted its resilience (or, in
-// legacy mode, hit any network fault): the local channel end has been
+// fail-fast mode, hit any network fault): the local channel end has been
 // poisoned and the graph degrades through the §3.4 cascading close.
 // The counter and the traced event are how an operator distinguishes
 // "graph finished" from "graph degraded". The map entry is dropped
 // either way, so a dead handle is never offered a Move or Redirect.
-// Local broker shutdown cancels pending rendezvous (finishing their
-// links with conduit.ErrBrokerClosed), which terminates these watchers
-// instead of leaking them; that case is traced but not counted as a
-// failure, since nothing degraded on the wire.
+// Local broker shutdown cancels pending rendezvous and closes the
+// sessions every established link rides (finishing those links with
+// conduit.ErrBrokerClosed), which terminates these watchers instead of
+// leaking them; that case is traced but not counted as a failure,
+// since nothing degraded on the wire.
 func (n *Node) watchLink(ch *core.Channel, l conduit.Link) {
+	defer n.watching.Add(-1)
 	err := l.Wait()
 	n.mu.Lock()
 	if n.links[ch] == l {

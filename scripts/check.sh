@@ -17,13 +17,16 @@
 #                    — report it with that seed — while a replay
 #                    pass classifies the original failure as flaky.
 #   check.sh -mux    session-multiplexing gate: the mux package's
-#                    handshake/stream/credit unit tests, the broker
-#                    session-pool integration tests (shared sessions,
-#                    legacy interop, auth failure, session-death
-#                    resilience), the FD-bounded mux rendezvous storm,
-#                    and the cascade-equivalence sweep (inproc = tcp =
-#                    mux = mux+compression = mid-migration rebind),
-#                    all under -race. On failure the logged seed is
+#                    handshake/stream/credit/liveness unit tests, the
+#                    broker session-pool integration tests (shared
+#                    sessions, auth failure, session-death resilience,
+#                    broker close ending live links, the accept path
+#                    dropping silent and non-protocol connections and
+#                    streams, a permanent stall partition degrading
+#                    within LinkDeadline), the FD-bounded rendezvous
+#                    storm, and the cascade-equivalence sweep (inproc =
+#                    tcp = compressed tcp = mid-migration rebind), all
+#                    under -race. On failure the logged seed is
 #                    replayed once (CHAOS_SEED / WORKLOAD_SEED pin the
 #                    schedule): a second failure is reproducible —
 #                    report it with that seed — while a replay pass
@@ -302,14 +305,16 @@ fi
 if [ "${1:-}" = "-mux" ]; then
 	fail=0
 	# The mux substrate itself: handshake auth, stream framing, credit
-	# windows, deadlines, keepalive, fair interleaving.
+	# windows, deadlines, keepalive, fair interleaving, and Close and
+	# keepalive staying bounded on a stalled conn.
 	echo "mux gate: go test -race -count=1 ./internal/netio/mux"
 	go test -race -count=1 -timeout 10m ./internal/netio/mux || fail=1
 	[ "$fail" -eq 0 ] || { echo "mux gate: FAIL"; exit 1; }
 	# The layers above: broker session pooling, transport composition,
-	# the FD-bounded storm, stream equivalence across deployments, and
-	# the bounded §4.3 Move (a reader pipe filled before the move).
-	replay_gate mux '(Mux|CascadeEquivalence|MoveDrainsFullReaderPipe|MoveDeadlineDegrades)' 1 15m
+	# the accept path, session liveness under a stall partition, the
+	# FD-bounded storm, stream equivalence across deployments, and the
+	# bounded §4.3 Move (a reader pipe filled before the move).
+	replay_gate mux '(Mux|AcceptDrops|BrokerCloseFinishesActiveLinks|DegradesOnPermanentPartition|CascadeEquivalence|MoveDrainsFullReaderPipe|MoveDeadlineDegrades)' 1 15m
 	exit 0
 fi
 
